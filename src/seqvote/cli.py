@@ -24,6 +24,7 @@ from .engine import (
 )
 from .experiments import (
     RecordError,
+    instance_metrics,
     read_records,
     run_batch,
     source_from_descriptor,
@@ -95,17 +96,14 @@ def cli() -> None:
 @click.option("--policy", default="canonical", help="canonical or bias:<agent>.")
 @click.option("--max-nodes", type=int, default=None)
 @click.option("--max-seconds", type=float, default=None)
-@click.option("--threads", type=int, default=1)
-def solve(graph_path, rule_name, k, policy, max_nodes, max_seconds, threads):
+def solve(graph_path, rule_name, k, policy, max_nodes, max_seconds):
     """Solve one instance: winner set, one policy-selected SPE path, metrics."""
-    from .experiments import metrics_of
-
     rule = rule_from_strings(rule_name, k)
-    g = net.parse(Path(graph_path).read_text())
-    budget = _budget_from_flags(max_nodes, max_seconds)
-    metrics, solver = metrics_of(g, rule, budget=budget, threads=threads)
     pol = _parse_policy(policy)
-    spe = Solver(g, rule, budget=budget).policy_spe(pol)
+    g = net.parse(Path(graph_path).read_text())
+    solver = Solver(g, rule, budget=_budget_from_flags(max_nodes, max_seconds))
+    spe = solver.policy_spe(pol)
+    metrics = instance_metrics(g, spe.winners)
     doc = {
         "winners": metrics.winners,
         "policy": policy,
@@ -155,9 +153,8 @@ def random_cmd(n, p, cap, seed, out):
 @click.option("--k", type=int, default=None)
 @click.option("--max-nodes", type=int, default=None)
 @click.option("--max-seconds", type=float, default=None)
-@click.option("--threads", type=int, default=1)
 @click.option("--out", default=None, help="JSONL output path (default stdout).")
-def metrics(in_path, rule_name, k, max_nodes, max_seconds, threads, out):
+def metrics(in_path, rule_name, k, max_nodes, max_seconds, out):
     """Batch-solve instances and emit one RunRecord per line (JSONL)."""
     rule = rule_from_strings(rule_name, k)
     budget = _budget_from_flags(max_nodes, max_seconds)
@@ -177,7 +174,7 @@ def metrics(in_path, rule_name, k, max_nodes, max_seconds, threads, out):
                 raise click.UsageError(f"{in_path}:{line_no}: {exc}")
     else:
         raise click.UsageError(f"--in path {in_path} does not exist")
-    records = run_batch(sources, rule, budget=budget, threads=threads)
+    records = run_batch(sources, rule, budget=budget)
     import io
 
     buf = io.StringIO()
@@ -218,14 +215,11 @@ def report(in_path, out):
     default=False,
     help="Also run optional experimental checks (slow).",
 )
-@click.option("--threads", type=int, default=1)
-def verify_paper(fast, experimental, threads):
+def verify_paper(fast, experimental):
     """Run the full verification suite and print a pass/fail CSV table."""
     from .verify import run_all
 
-    results = run_all(
-        heavy=not fast, experimental=experimental, threads=threads, log=sys.stderr
-    )
+    results = run_all(heavy=not fast, experimental=experimental, log=sys.stderr)
     click.echo("criterion,status,seconds,detail")
     ok = True
     for r in results:

@@ -20,8 +20,7 @@ set is the union of sustainable outcomes.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .balloting import Rule, apply_ballot, legal_ballots
@@ -85,10 +84,9 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass
 class AchievableSet:
-    """Winners elected in at least one SPE, with optional root witness ballots."""
+    """Winners elected in at least one SPE."""
 
     winners: frozenset[int]
-    witnesses: dict[int, frozenset[int]] | None = None
 
 
 @dataclass(frozen=True)
@@ -114,17 +112,21 @@ class Policy:
 
 @dataclass
 class PolicyResult:
+    """One policy-selected SPE, and the achievable set of the same search."""
+
     path: list[frozenset[int]]
     winner: int
+    winners: frozenset[int]
 
 
 class Solver:
     """Memoized, pruned SPE solver for one network/rule pair.
 
-    ``use_memo`` and ``use_pruning`` exist so the soundness suites can compare
-    every configuration; both default on.  A single solve is deterministic for
-    any ``threads`` value (the cache holds pure values and inserts are
-    idempotent, so concurrent sibling evaluation cannot change results).
+    One recursion, :meth:`solve`, answers both questions asked of a state:
+    its achievable set and, when a selection policy is given, the policy's
+    winner and on-path ballot.  ``use_memo`` and ``use_pruning`` exist so the
+    soundness suites can compare every configuration; both default on, and
+    neither changes any result.
     """
 
     def __init__(
@@ -135,14 +137,12 @@ class Solver:
         use_memo: bool = True,
         use_pruning: bool = True,
         budget: Budget | None = None,
-        threads: int = 1,
     ):
         self.g = g
         self.rule = rule
         self.use_memo = use_memo
         self.use_pruning = use_pruning
         self.budget = budget or Budget()
-        self.threads = max(1, threads)
 
         n = g.n
         self.n = n
@@ -169,14 +169,24 @@ class Solver:
                 entries.append((members, f, gcnt))
             self._full_ballots.append(entries)
         self._ballot_cache: dict[tuple[int, tuple[int, ...]], list] = {}
-        self.last_stats = SolveStats()
-        self._reset()
-
-    # -- per-solve bookkeeping ------------------------------------------------
-
-    def _reset(self) -> None:
+        # Memo entries of terminal states, one per winner.
+        self._terminal = [(frozenset((w,)), w, None) for w in range(n)]
         self._memo: dict = {}
-        self._policy_memo: dict = {}
+        self._policy: Policy | None = None
+        self.last_stats = SolveStats()
+
+    # -- per-call bookkeeping -------------------------------------------------
+
+    def _start(self, policy: Policy | None, reuse_cache: bool) -> None:
+        """Fresh counters and deadline for one call.
+
+        The memo survives only under ``reuse_cache``, and only when its
+        entries carry what the call asks for: a memo built under a policy
+        also serves policy-free calls, and keeps that policy.
+        """
+        if not (reuse_cache and policy in (None, self._policy)):
+            self._memo = {}
+            self._policy = policy
         self._nodes = 0
         self._hits = 0
         self._t0 = time.monotonic()
@@ -187,7 +197,7 @@ class Solver:
         return SolveStats(
             nodes=self._nodes,
             cache_hits=self._hits,
-            cache_size=len(self._memo) + len(self._policy_memo),
+            cache_size=len(self._memo),
             wall_seconds=time.monotonic() - self._t0,
         )
 
@@ -292,111 +302,77 @@ class Solver:
                 return a
         raise AssertionError("unreachable")
 
-    # -- achievable winner set -------------------------------------------------
+    # -- the search ------------------------------------------------------------
 
-    def achievable_winners(
+    def solve(
         self,
         state: SubgameState | None = None,
-        with_witnesses: bool = False,
+        policy: Policy | None = None,
+        *,
         reuse_cache: bool = False,
-    ) -> AchievableSet:
-        """Exactly the agents elected in at least one SPE of the (sub)game.
+    ) -> tuple[frozenset[int], int | None, tuple[int, ...] | None]:
+        """The memo entry of ``state`` (default: the initial state).
 
-        ``reuse_cache`` keeps the transposition table from earlier calls on
-        this solver — sound because entries depend only on (mover, scores) —
-        at the cost of cumulative rather than per-call statistics.
+        The entry is ``(achievable set, policy winner, policy ballot)``; the
+        last two are None without a policy, and the ballot is None at a
+        terminal state.  Each call has its own budget and ``last_stats``;
+        ``reuse_cache`` keeps only the transposition table from earlier calls
+        on this solver, which is sound because entries depend only on
+        (mover, scores).
         """
+        if policy is not None:
+            if policy.kind not in ("canonical", "bias_toward"):
+                raise ValueError(f"unknown policy kind {policy.kind!r}")
+            if policy.kind == "bias_toward" and (
+                policy.target is None or not (0 <= policy.target < self.n)
+            ):
+                raise ValueError(f"bias_toward needs a valid target, got {policy.target}")
         if state is None:
             state = initial_state(self.n)
         state.validate(self.n)
-        if not (reuse_cache and getattr(self, "_memo", None)):
-            self._reset()
+        self._start(policy, reuse_cache)
         try:
-            entries = self._expand(state.i, state.scores, parallel=self.threads > 1)
+            return self._search(state.i, state.scores)
         finally:
             self.last_stats = self._stats()
-        if entries is None:  # terminal state
-            w = self._winner(state.scores)
-            result = AchievableSet(winners=frozenset((w,)))
-            if with_witnesses:
-                result.witnesses = {}
-            return result
-        winners, witnesses = self._combine(
-            self._order[state.i], entries, want_witnesses=with_witnesses
-        )
-        self.last_stats = self._stats()
-        if not winners:
-            raise AssertionError("achievable set must be non-empty (SPE existence)")
-        return AchievableSet(winners=winners, witnesses=witnesses)
 
-    def _expand(self, i: int, scores: tuple[int, ...], parallel: bool = False):
-        """Child achievable sets for every (pruned) ballot at a state.
+    def achievable_winners(
+        self, state: SubgameState | None = None, reuse_cache: bool = False
+    ) -> AchievableSet:
+        """Exactly the agents elected in at least one SPE of the (sub)game."""
+        return AchievableSet(self.solve(state, reuse_cache=reuse_cache)[0])
 
-        Returns None for terminal states; otherwise a list of
-        ``(worst_key, child_set, -g, f, members)`` tuples in canonical ballot
-        order.
-        """
-        if i == self.n:
-            return None
-        x = self._order[i]
+    def policy_spe(
+        self, policy: Policy, state: SubgameState | None = None
+    ) -> PolicyResult:
+        """One SPE selected by ``policy`` at every node: its on-path ballots and
+        winner, with the achievable set the same search found."""
+        if state is None:
+            state = initial_state(self.n)
+        winners, winner, _ = self.solve(state, policy)
+        path = []
+        i, scores = state.i, state.scores
+        while i < self.n:
+            members = self._visited(i, scores)[2]
+            path.append(frozenset(members))
+            s = list(scores)
+            for a in members:
+                s[a] += 1
+            scores = tuple(s)
+            i += 1
+        return PolicyResult(path=path, winner=winner, winners=winners)
+
+    def _visited(self, i: int, scores: tuple[int, ...]):
+        """Memo entry of a state the last search reached; without a memo, the
+        state is searched again."""
+        if not self.use_memo:
+            return self._search(i, scores)
         dead = self._dead(i, scores) if self.use_pruning else None
-        ballots = self._ballots_at(x, dead)
-        levels = self._level[x]
-        if parallel and len(ballots) > 1:
-            child_scores = []
-            for members, _f, _g in ballots:
-                s = list(scores)
-                for a in members:
-                    s[a] += 1
-                child_scores.append(tuple(s))
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                futures = [
-                    pool.submit(self._solve, i + 1, cs) for cs in child_scores
-                ]
-                children = [f.result() for f in futures]
-        else:
-            children = []
-            for members, _f, _g in ballots:
-                s = list(scores)
-                for a in members:
-                    s[a] += 1
-                children.append(self._solve(i + 1, tuple(s)))
-        entries = []
-        for (members, f, gcnt), cset in zip(ballots, children):
-            min_level = min(levels[w] for w in cset)
-            entries.append(((min_level, -gcnt, f), cset, -gcnt, f, members))
-        return entries
+        return self._memo[(i, self._canon(scores, dead))]
 
-    def _combine(self, x: int, entries, want_witnesses: bool = False):
-        """Union of sustainable outcomes at a node, per the threat thresholds."""
-        levels = self._level[x]
-        if len(entries) == 1:
-            _worst, cset, _ng, _f, members = entries[0]
-            winners = frozenset(cset)
-            witnesses = (
-                {w: frozenset(members) for w in cset} if want_witnesses else None
-            )
-            return winners, witnesses
-        m1 = max(e[0] for e in entries)
-        m1_count = sum(1 for e in entries if e[0] == m1)
-        if m1_count == 1:
-            m2 = max(e[0] for e in entries if e[0] != m1)
-        else:
-            m2 = m1
-        winners: set[int] = set()
-        witnesses: dict[int, frozenset[int]] | None = {} if want_witnesses else None
-        for worst, cset, ng, f, members in entries:
-            threshold = m2 if (m1_count == 1 and worst == m1) else m1
-            for w in cset:
-                if (levels[w], ng, f) >= threshold:
-                    winners.add(w)
-                    if witnesses is not None and w not in witnesses:
-                        witnesses[w] = frozenset(members)
-        return frozenset(winners), witnesses
-
-    def _solve(self, i: int, scores: tuple[int, ...]) -> frozenset[int]:
+    def _search(self, i: int, scores: tuple[int, ...]):
         if i == self.n:
-            return frozenset((self._winner(scores),))
+            return self._terminal[self._winner(scores)]
         self._tick()
         dead = self._dead(i, scores) if self.use_pruning else None
         if self.use_memo:
@@ -406,110 +382,62 @@ class Solver:
                 self._hits += 1
                 return hit
         x = self._order[i]
-        ballots = self._ballots_at(x, dead)
         levels = self._level[x]
-        solve = self._solve
-        entries = []
-        for members, f, gcnt in ballots:
-            s = list(scores)
-            for a in members:
-                s[a] += 1
-            cset = solve(i + 1, tuple(s))
-            min_level = min(levels[w] for w in cset)
-            entries.append(((min_level, -gcnt, f), cset, -gcnt, f, members))
-        result, _ = self._combine(x, entries)
-        if self.use_memo:
-            self._memo[key] = result
-        return result
-
-    # -- policy (single-SPE) extraction ----------------------------------------
-
-    def policy_spe(
-        self, policy: Policy, state: SubgameState | None = None
-    ) -> PolicyResult:
-        """One SPE selected by ``policy`` at every node: its on-path ballots and winner."""
-        if policy.kind not in ("canonical", "bias_toward"):
-            raise ValueError(f"unknown policy kind {policy.kind!r}")
-        if policy.kind == "bias_toward":
-            if policy.target is None or not (0 <= policy.target < self.n):
-                raise ValueError(f"bias_toward needs a valid target, got {policy.target}")
-        if state is None:
-            state = initial_state(self.n)
-        state.validate(self.n)
-        self._reset()
-        try:
-            w = self._policy_solve(state.i, state.scores, policy)
-            path = []
-            i, scores = state.i, state.scores
-            while i < self.n:
-                dead = self._dead(i, scores) if self.use_pruning else None
-                _w, members = self._policy_memo[(i, self._canon(scores, dead))]
-                path.append(frozenset(members))
-                s = list(scores)
-                for a in members:
-                    s[a] += 1
-                scores = tuple(s)
-                i += 1
-        finally:
-            self.last_stats = self._stats()
-        return PolicyResult(path=path, winner=w)
-
-    def _policy_solve(
-        self, i: int, scores: tuple[int, ...], policy: Policy
-    ) -> int:
-        if i == self.n:
-            return self._winner(scores)
-        self._tick()
-        dead = self._dead(i, scores) if self.use_pruning else None
-        key = (i, self._canon(scores, dead))
-        hit = self._policy_memo.get(key)
-        if hit is not None:
-            self._hits += 1
-            return hit[0]
-        x = self._order[i]
-        levels = self._level[x]
-        target = policy.target
-        best_key = None
-        best_winner = -1
-        best_members: tuple[int, ...] = ()
-        best_has_target = False
+        search = self._search
+        entries = []  # (worst key, child entry, members) per ballot
         for members, f, gcnt in self._ballots_at(x, dead):
             s = list(scores)
             for a in members:
                 s[a] += 1
-            w = self._policy_solve(i + 1, tuple(s), policy)
-            k = (levels[w], -gcnt, f)
-            if best_key is None or k > best_key:
-                best_key = k
-                best_winner = w
-                best_members = members
-                best_has_target = target in members
-            elif (
-                k == best_key
-                and target is not None
-                and not best_has_target
-                and target in members
-            ):
-                best_winner = w
-                best_members = members
-                best_has_target = True
-        self._policy_memo[key] = (best_winner, best_members)
-        return best_winner
+            child = search(i + 1, tuple(s))
+            worst = (min(levels[w] for w in child[0]), -gcnt, f)
+            entries.append((worst, child, members))
+        winners = self._combine(levels, entries)
+        if self._policy is None:
+            entry = (winners, None, None)
+        else:
+            entry = (winners, *self._choose(levels, entries))
+        if self.use_memo:
+            self._memo[key] = entry
+        return entry
+
+    def _combine(self, levels: list[int], entries) -> frozenset[int]:
+        """Union of sustainable outcomes at a node.
+
+        Outcome ``w`` of ballot ``b`` is sustainable when the mover weakly
+        prefers it to the worst outcome of every other ballot.  The largest
+        worst key ``m1`` can serve as the threshold for every ballot, its own
+        included: every ``w`` in ``C_b`` has key at least ``b``'s worst key.
+        """
+        m1 = max(e[0] for e in entries)
+        winners: set[int] = set()
+        for (_level, ng, f), child, _members in entries:
+            for w in child[0]:
+                if (levels[w], ng, f) >= m1:
+                    winners.add(w)
+        return frozenset(winners)
+
+    def _choose(self, levels: list[int], entries) -> tuple[int, tuple[int, ...]]:
+        """The policy's winner and ballot at a node: the first ballot, in
+        canonical order, maximizing the mover's key at the child's policy
+        winner; ``bias_toward(t)`` prefers a ballot approving ``t`` among
+        the tied ones."""
+        target = self._policy.target
+        best = None
+        for (_level, ng, f), child, members in entries:
+            rank = (levels[child[1]], ng, f, target in members)
+            if best is None or rank > best[0]:
+                best = (rank, child[1], members)
+        return best[1], best[2]
 
 
 # -- convenience wrappers -------------------------------------------------------
 
 
 def achievable_winners(
-    g: ConfirmationNetwork,
-    rule: Rule,
-    *,
-    budget: Budget | None = None,
-    threads: int = 1,
-    with_witnesses: bool = False,
+    g: ConfirmationNetwork, rule: Rule, *, budget: Budget | None = None
 ) -> AchievableSet:
-    solver = Solver(g, rule, budget=budget, threads=threads)
-    return solver.achievable_winners(with_witnesses=with_witnesses)
+    return Solver(g, rule, budget=budget).achievable_winners()
 
 
 def policy_spe(

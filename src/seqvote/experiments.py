@@ -17,8 +17,7 @@ import io
 import json
 import math
 import statistics
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
 
@@ -90,18 +89,9 @@ class InstanceMetrics:
         }
 
 
-def metrics_of(
-    g: ConfirmationNetwork,
-    rule: Rule,
-    *,
-    budget: Budget | None = None,
-    threads: int = 1,
-    use_pruning: bool = True,
-) -> tuple[InstanceMetrics, Solver]:
-    """Winner set plus gap/ratio metrics; returns the solver for its stats."""
-    solver = Solver(g, rule, budget=budget, threads=threads, use_pruning=use_pruning)
-    result = solver.achievable_winners()
-    winners = sorted(result.winners)
+def instance_metrics(g: ConfirmationNetwork, winners) -> InstanceMetrics:
+    """Gap/ratio metrics of an achievable winner set already in hand."""
+    winners = sorted(winners)
     per_winner = []
     for w in winners:
         stripped = net.remove_out_edges(g, w)
@@ -116,14 +106,25 @@ def metrics_of(
             )
         )
     ratios = [m.ratio for m in per_winner]
-    metrics = InstanceMetrics(
+    return InstanceMetrics(
         winners=winners,
         per_winner=per_winner,
         instance_gap=min(m.gap for m in per_winner),
         r_min=min(ratios),
         r_max=max(ratios),
     )
-    return metrics, solver
+
+
+def metrics_of(
+    g: ConfirmationNetwork,
+    rule: Rule,
+    *,
+    budget: Budget | None = None,
+    use_pruning: bool = True,
+) -> tuple[InstanceMetrics, Solver]:
+    """Winner set plus gap/ratio metrics; returns the solver for its stats."""
+    solver = Solver(g, rule, budget=budget, use_pruning=use_pruning)
+    return instance_metrics(g, solver.achievable_winners().winners), solver
 
 
 def _verdicts(g: ConfirmationNetwork, rule: Rule, metrics: InstanceMetrics) -> dict:
@@ -267,7 +268,6 @@ def run_one(
     rule: Rule,
     *,
     budget: Budget | None = None,
-    threads: int = 1,
     use_pruning: bool = True,
 ) -> RunRecord:
     descriptor = instance_descriptor(source)
@@ -286,9 +286,7 @@ def run_one(
         )
     graph_doc = net.to_json_dict(g)
     try:
-        metrics, solver = metrics_of(
-            g, rule, budget=budget, threads=threads, use_pruning=use_pruning
-        )
+        metrics, solver = metrics_of(g, rule, budget=budget, use_pruning=use_pruning)
     except BudgetExceededError as exc:
         return RunRecord(
             instance=descriptor,
@@ -312,20 +310,10 @@ def run_one(
 
 
 def run_batch(
-    sources: Sequence,
-    rule: Rule,
-    *,
-    budget: Budget | None = None,
-    threads: int = 1,
-    workers: int = 1,
+    sources: Sequence, rule: Rule, *, budget: Budget | None = None
 ) -> list[RunRecord]:
     """One record per source, in input order; failures are recorded, not thrown."""
-    if workers <= 1:
-        return [run_one(s, rule, budget=budget, threads=threads) for s in sources]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(
-            pool.map(lambda s: run_one(s, rule, budget=budget, threads=threads), sources)
-        )
+    return [run_one(s, rule, budget=budget) for s in sources]
 
 
 def write_records(records: Iterable[RunRecord], fh: TextIO) -> None:

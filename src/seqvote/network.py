@@ -111,18 +111,6 @@ def popularity(g: ConfirmationNetwork, a: int) -> int:
     return len(g.in_neighbors[a])
 
 
-def confirmers(g: ConfirmationNetwork, a: int) -> frozenset[int]:
-    """The set of agents with an edge into ``a``."""
-    g._check_agent(a)
-    return g.in_neighbors[a]
-
-
-def confirmed_by(g: ConfirmationNetwork, a: int) -> frozenset[int]:
-    """The set of agents that ``a`` confirms (its out-neighbors)."""
-    g._check_agent(a)
-    return g.out_neighbors[a]
-
-
 def remove_out_edges(g: ConfirmationNetwork, w: int) -> ConfirmationNetwork:
     """The same network minus all edges whose source is ``w``; orders unchanged."""
     g._check_agent(w)

@@ -142,9 +142,7 @@ def most_popular(g: ConfirmationNetwork) -> int:
 # -- check 1: golden catalog instances ------------------------------------------
 
 
-def check_golden_instances(
-    heavy: bool = True, threads: int = 1, log: TextIO | None = None
-) -> CheckResult:
+def check_golden_instances(heavy: bool = True, log: TextIO | None = None) -> CheckResult:
     failures: list[str] = []
     skipped: list[str] = []
 
@@ -153,14 +151,8 @@ def check_golden_instances(
         if not ok:
             failures.append(f"{label} ({got})" if got else label)
 
-    def solve(g, rule, seconds=None, use_threads=False):
-        s = Solver(
-            g,
-            rule,
-            budget=Budget(max_seconds=seconds),
-            threads=threads if use_threads else 1,
-        )
-        return s.achievable_winners().winners, s
+    def solve(g, rule, seconds=None):
+        return Solver(g, rule, budget=Budget(max_seconds=seconds)).achievable_winners().winners
 
     def ratio_of(g, w) -> Fraction | float:
         return net.ratio(g, w)
@@ -168,32 +160,32 @@ def check_golden_instances(
     t0 = time.monotonic()
 
     g1 = gen_paper_instance(InstanceSpec("example1"))
-    w, _ = solve(g1, PLURALITY)
+    w = solve(g1, PLURALITY)
     expect("example1 plurality W={1}", _winner_names(g1, w) == ["1"], str(_winner_names(g1, w)))
-    w, _ = solve(g1, APPROVAL)
+    w = solve(g1, APPROVAL)
     expect("example1 approval W={5}", _winner_names(g1, w) == ["5"], str(_winner_names(g1, w)))
 
     g2 = gen_paper_instance(InstanceSpec("example2"))
-    w, _ = solve(g2, PLURALITY)
+    w = solve(g2, PLURALITY)
     names = _winner_names(g2, w)
     expect("example2 plurality W={3}", names == ["3"], str(names))
     if names == ["3"]:
         gap = net.additive_gap(g2, agent_index(g2, "3"))
         expect("example2 plurality gap=0", gap == 0, str(gap))
-    w, _ = solve(g2, APPROVAL)
+    w = solve(g2, APPROVAL)
     names = _winner_names(g2, w)
     expect("example2 approval W={4}", names == ["4"], str(names))
     expect("example2 agent 4 most popular", most_popular(g2) == agent_index(g2, "4"))
 
     gk = gen_paper_instance(InstanceSpec("g_k", 2))
-    w, _ = solve(gk, PLURALITY)
+    w = solve(gk, PLURALITY)
     names = _winner_names(gk, w)
     expect("g_k(2) plurality W={c3}", names == ["c3"], str(names))
     if names == ["c3"]:
         gap = net.additive_gap(gk, agent_index(gk, "c3"))
         expect("g_k(2) gap=2", gap == 2, str(gap))
     if heavy:
-        w, _ = solve(gk, APPROVAL, seconds=3600, use_threads=True)
+        w = solve(gk, APPROVAL, seconds=3600)
         names = _winner_names(gk, w)
         expect("g_k(2) approval W={c3}", names == ["c3"], str(names))
     else:
@@ -214,14 +206,14 @@ def check_golden_instances(
         skipped.append("g_k(2) approval full solve")
 
     fig5 = gen_paper_instance(InstanceSpec("plurality_chain_fig5"))
-    w, _ = solve(fig5, PLURALITY)
+    w = solve(fig5, PLURALITY)
     c3 = agent_index(fig5, "c3")
     expect("fig5 c3 in W", c3 in w, str(_winner_names(fig5, w)))
     if c3 in w:
         expect("fig5 ratio(c3)=3", ratio_of(fig5, c3) == 3, str(ratio_of(fig5, c3)))
     for k in (3, 4):
         gc = gen_paper_instance(InstanceSpec("plurality_chain", k))
-        w, _ = solve(gc, PLURALITY, seconds=300, use_threads=True)
+        w = solve(gc, PLURALITY, seconds=300)
         ck = agent_index(gc, f"c{k}")
         expect(f"plurality_chain({k}) c{k} in W", ck in w, str(_winner_names(gc, w)))
         if ck in w:
@@ -232,20 +224,20 @@ def check_golden_instances(
     c3 = agent_index(ka, "c3")
     expect("kapproval_chain(2) ratio(c3)=3", ratio_of(ka, c3) == 3, str(ratio_of(ka, c3)))
     if heavy:
-        w, _ = solve(ka, k_approval(2), seconds=1800, use_threads=True)
+        w = solve(ka, k_approval(2), seconds=1800)
         names = _winner_names(ka, w)
         expect("kapproval_chain(2) W={c1,c2}", names == ["c1", "c2"], str(names))
     else:
         skipped.append("kapproval_chain(2) 2-approval solve")
 
     hk = gen_paper_instance(InstanceSpec("h_k", 2))
-    w, _ = solve(hk, APPROVAL, seconds=300, use_threads=True)
+    w = solve(hk, APPROVAL, seconds=300)
     names = _winner_names(hk, w)
     expect("h_k(2) approval W={c1}", names == ["c1"], str(names))
     if names == ["c1"]:
         r = ratio_of(hk, agent_index(hk, "c1"))
         expect("h_k(2) ratio(c1)=3/2", r == Fraction(3, 2), str(r))
-    w, _ = solve(hk, PLURALITY, seconds=60)
+    w = solve(hk, PLURALITY, seconds=60)
     expect("h_k(2) plurality m in W", agent_index(hk, "m") in w, str(_winner_names(hk, w)))
 
     detail_parts = []
@@ -260,13 +252,12 @@ def check_golden_instances(
     )
 
 
-def check_golden_experimental(threads: int = 1, log: TextIO | None = None) -> CheckResult:
+def check_golden_experimental(log: TextIO | None = None) -> CheckResult:
     """Optional heavy extension: h_k(3) under approval (n = 13)."""
 
     def body() -> tuple[bool, str]:
         g = gen_paper_instance(InstanceSpec("h_k", 3))
-        s = Solver(g, APPROVAL, budget=Budget(max_seconds=7200), threads=threads)
-        w = s.achievable_winners().winners
+        w = Solver(g, APPROVAL, budget=Budget(max_seconds=7200)).achievable_winners().winners
         names = _winner_names(g, w)
         _log(log, f"  experimental h_k(3) approval W={names}")
         return names == ["c1"], f"W={names}"
@@ -316,7 +307,8 @@ def check_low_outdegree_suite(
             g = gen_random(spec)
             for rule in (PLURALITY, APPROVAL):
                 solver = Solver(g, rule)
-                winners = solver.achievable_winners().winners
+                spe = solver.policy_spe(Policy.canonical())
+                winners = spe.winners
                 ok = len(winners) == 1
                 if ok:
                     (w,) = winners
@@ -331,7 +323,6 @@ def check_low_outdegree_suite(
                     )
                     continue
                 if samples is not None:
-                    spe = solver.policy_spe(Policy.canonical())
                     samples.append(PathSample(g, rule, spe.path, spe.winner))
         return violations == 0, f"400 rule-instance runs, {violations} violations"
 
@@ -347,8 +338,8 @@ def check_approval_bound_suite(
         violations = 0
         for spec in approval_bound_specs():
             g = gen_random(spec)
-            solver = Solver(g, APPROVAL)
-            winners = solver.achievable_winners().winners
+            spe = Solver(g, APPROVAL).policy_spe(Policy.canonical())
+            winners = spe.winners
             bad = [
                 w
                 for w in winners
@@ -364,7 +355,6 @@ def check_approval_bound_suite(
                 )
                 continue
             if samples is not None:
-                spe = solver.policy_spe(Policy.canonical())
                 samples.append(PathSample(g, APPROVAL, spe.path, spe.winner))
         return violations == 0, f"200 instances, {violations} violations"
 
@@ -387,8 +377,8 @@ def check_plurality_bound_suite(
         soft = 0
         for spec in plurality_bound_specs():
             g = gen_random(spec)
-            solver = Solver(g, PLURALITY)
-            winners = solver.achievable_winners().winners
+            spe = Solver(g, PLURALITY).policy_spe(Policy.bias_toward(most_popular(g)))
+            winners = spe.winners
 
             def within(w: int) -> bool:
                 return (
@@ -404,7 +394,6 @@ def check_plurality_bound_suite(
                     f"W={sorted(winners)}; graph={net.serialize(g)}",
                 )
                 continue
-            spe = solver.policy_spe(Policy.bias_toward(most_popular(g)))
             if not within(spe.winner):
                 soft += 1
                 _log(
@@ -524,7 +513,7 @@ def determinism_sources() -> list[tuple[object, Rule]]:
 def record_fingerprint(record) -> str:
     """Canonical bytes of a run record with the timing-class block removed.
 
-    Node counts and cache sizes legitimately vary with pruning and thread
+    Node counts and cache sizes legitimately vary with the pruning
     configuration, so the whole solver-statistics block is excluded along
     with wall-clock time; everything semantic must match byte for byte.
     """
@@ -540,18 +529,15 @@ def check_determinism(log: TextIO | None = None) -> CheckResult:
         mismatches = 0
         total = 0
         for source, rule in determinism_sources():
-            fingerprints = set()
-            for threads in (1, 4):
-                for use_pruning in (True, False):
-                    record = run_one(
-                        source, rule, threads=threads, use_pruning=use_pruning
-                    )
-                    fingerprints.add(record_fingerprint(record))
+            fingerprints = {
+                record_fingerprint(run_one(source, rule, use_pruning=use_pruning))
+                for use_pruning in (True, False)
+            }
             total += 1
             if len(fingerprints) != 1:
                 mismatches += 1
                 _log(log, f"  determinism mismatch for {source} rule={rule.label()}")
-        return mismatches == 0, f"{total} instances x 4 configs, {mismatches} mismatches"
+        return mismatches == 0, f"{total} instances x 2 configs, {mismatches} mismatches"
 
     return _timed(body, "determinism")
 
@@ -562,14 +548,13 @@ def check_determinism(log: TextIO | None = None) -> CheckResult:
 def run_all(
     heavy: bool = True,
     experimental: bool = False,
-    threads: int = 1,
     log: TextIO | None = None,
 ) -> list[CheckResult]:
     results: list[CheckResult] = []
     samples: list[PathSample] = []
 
     _log(log, "[1/8] golden catalog instances")
-    results.append(check_golden_instances(heavy=heavy, threads=threads, log=log))
+    results.append(check_golden_instances(heavy=heavy, log=log))
     _log(log, "[2/8] oracle equivalence")
     results.append(check_oracle_equivalence(log=log))
     _log(log, "[3/8] low out-degree suite")
@@ -586,5 +571,5 @@ def run_all(
     results.append(check_determinism(log=log))
     if experimental:
         _log(log, "[experimental] h_k(3) approval")
-        results.append(check_golden_experimental(threads=threads, log=log))
+        results.append(check_golden_experimental(log=log))
     return results

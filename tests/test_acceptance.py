@@ -200,7 +200,7 @@ def test_criterion_7_comparator_equivalence():
 
 
 def test_criterion_8_determinism():
-    """Byte-identical run records across thread counts and pruning configs,
-    timing-class fields excluded."""
+    """Byte-identical run records with pruning on and off, timing-class
+    fields excluded."""
     r = verify.check_determinism()
     assert r.passed, r.detail

@@ -1,8 +1,9 @@
 """End-to-end tests of the installed ``seqvote`` entry point.
 
-These run the console script in a subprocess so the spec'd exit codes
+Most of these run the console script in a subprocess so the spec'd exit codes
 (1 invalid input, 2 budget exceeded, 3 verification failure) are observed
-exactly as a shell would see them.
+exactly as a shell would see them; tests that look inside a command invoke it
+in-process.
 """
 
 import json
@@ -10,6 +11,11 @@ import subprocess
 import sys
 
 import pytest
+from click.testing import CliRunner
+
+from seqvote import cli, network
+from seqvote.balloting import PLURALITY
+from seqvote.engine import Policy, Solver
 
 CMD = [sys.executable, "-m", "seqvote.cli"]
 
@@ -58,6 +64,31 @@ def test_solve_reports_winners_and_path(tmp_path):
     assert doc["policy_winner"] == 3
     assert len(doc["policy_path"]) == 4
     assert doc["metrics"]["instance_gap"] == 0
+
+
+def test_solve_builds_one_solver_and_reports_its_search(tmp_path, monkeypatch):
+    graph = tmp_path / "g.json"
+    run_cli("family", "--name", "g_k", "--k", "2", "--out", str(graph))
+    g = network.parse(graph.read_text())
+    reference = Solver(g, PLURALITY)
+    reference.policy_spe(Policy.canonical())
+
+    built = []
+    init = Solver.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Solver, "__init__", counting_init)
+    result = CliRunner().invoke(
+        cli.cli, ["solve", "--graph", str(graph), "--rule", "plurality"]
+    )
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.stdout)
+    assert len(built) == 1
+    assert doc["policy_winner"] in doc["winners"]
+    assert doc["stats"]["nodes"] == reference.last_stats.nodes
 
 
 def test_solve_with_bias_policy(tmp_path):

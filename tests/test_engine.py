@@ -1,8 +1,10 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seqvote import engine
 from seqvote.balloting import APPROVAL, PLURALITY, k_approval, legal_ballots
 from seqvote.engine import (
     Budget,
@@ -81,21 +83,14 @@ def test_solver_matches_naive_oracle(rule, n_max):
 
 def test_memo_and_pruning_do_not_change_results():
     for g in random_instances(20, 4, seed0=1700):
-        sets = {
-            Solver(g, APPROVAL, use_memo=memo, use_pruning=pruning)
-            .achievable_winners()
-            .winners
-            for memo in (True, False)
-            for pruning in (True, False)
-        }
-        assert len(sets) == 1
-
-
-def test_thread_count_does_not_change_results():
-    for g in random_instances(10, 5, seed0=2500):
-        single = Solver(g, PLURALITY, threads=1).achievable_winners().winners
-        multi = Solver(g, PLURALITY, threads=4).achievable_winners().winners
-        assert single == multi
+        results = set()
+        for memo in (True, False):
+            for pruning in (True, False):
+                solver = Solver(g, APPROVAL, use_memo=memo, use_pruning=pruning)
+                spe = solver.policy_spe(Policy.bias_toward(g.n - 1))
+                winners = solver.achievable_winners().winners
+                results.add((winners, spe.winners, spe.winner, tuple(spe.path)))
+        assert len(results) == 1
 
 
 def test_naive_oracle_refuses_oversized_games():
@@ -104,16 +99,7 @@ def test_naive_oracle_refuses_oversized_games():
         naive_achievable_winners(g, APPROVAL)
 
 
-# -- witnesses and subgames ------------------------------------------------------
-
-
-def test_witnesses_are_legal_first_ballots():
-    g = example1()
-    result = Solver(g, PLURALITY).achievable_winners(with_witnesses=True)
-    first = g.voting_order[0]
-    legal = set(legal_ballots(PLURALITY, first, g.n))
-    for w, ballot in result.witnesses.items():
-        assert ballot in legal
+# -- subgames and the reused memo -------------------------------------------------
 
 
 def test_subgame_state_validation():
@@ -142,6 +128,37 @@ def test_reuse_cache_gives_same_answer():
     assert fresh == again
 
 
+def test_reuse_cache_call_has_its_own_node_budget():
+    g = example2()
+    probe = Solver(g, APPROVAL)
+    probe.achievable_winners()
+    s = Solver(g, APPROVAL, budget=Budget(max_nodes=probe.last_stats.nodes))
+    first = s.achievable_winners().winners
+    # the memo answers the root at once; the first call's nodes are not counted
+    assert s.achievable_winners(reuse_cache=True).winners == first
+    assert s.last_stats.nodes == 1
+    assert s.last_stats.cache_hits == 1
+
+
+def test_reuse_cache_call_has_its_own_deadline_and_clock(monkeypatch):
+    clock = [100.0]
+    monkeypatch.setattr(engine, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+    g = example2()
+    s = Solver(g, APPROVAL, budget=Budget(max_seconds=10))
+    first = s.achievable_winners().winners
+    clock[0] += 60  # the first call's deadline has long passed
+    assert s.achievable_winners(reuse_cache=True).winners == first
+    assert s.last_stats.wall_seconds == 0.0
+
+
+def test_policy_memo_serves_a_later_policy_free_call():
+    g = example2()
+    s = Solver(g, APPROVAL)
+    spe = s.policy_spe(Policy.canonical())
+    assert s.achievable_winners(reuse_cache=True).winners == spe.winners
+    assert s.last_stats.nodes == s.last_stats.cache_hits == 1
+
+
 # -- policy extraction ----------------------------------------------------------
 
 
@@ -150,7 +167,8 @@ def test_canonical_policy_path_is_consistent():
         g = example1()
         spe = policy_spe(g, rule, Policy.canonical())
         assert len(spe.path) == g.n
-        assert spe.winner in achievable_winners(g, rule).winners
+        assert spe.winners == achievable_winners(g, rule).winners
+        assert spe.winner in spe.winners
         # replaying the path produces the reported winner
         scores = [0] * g.n
         for ballot in spe.path:

@@ -85,9 +85,9 @@ def test_run_one_generation_error():
 
 
 def test_run_batch_preserves_order():
-    sources = [InstanceSpec("example1"), InstanceSpec("example2")]
-    records = run_batch(sources, PLURALITY, workers=2)
-    assert [r.instance["name"] for r in records] == ["example1", "example2"]
+    sources = [InstanceSpec("example2"), InstanceSpec("example1"), InstanceSpec("example2")]
+    records = run_batch(sources, PLURALITY)
+    assert [r.instance["name"] for r in records] == ["example2", "example1", "example2"]
 
 
 def test_jsonl_round_trip():
