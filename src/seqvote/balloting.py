@@ -30,8 +30,8 @@ class Rule:
         if self.kind not in ("plurality", "approval", "k_approval"):
             raise RuleError(f"unknown rule kind {self.kind!r}")
         if self.kind == "k_approval":
-            if self.cap is None or self.cap < 1:
-                raise RuleError(f"k_approval needs a positive cap, got {self.cap}")
+            if not isinstance(self.cap, int) or self.cap < 1:
+                raise RuleError(f"k_approval needs a positive cap, got {self.cap!r}")
         elif self.cap is not None:
             raise RuleError(f"{self.kind} does not take a cap")
 
@@ -104,19 +104,6 @@ def winner(scores: tuple[int, ...], tiebreak_order: tuple[int, ...]) -> int:
         if scores[a] == top:
             return a
     raise AssertionError("tiebreak_order does not cover all agents")
-
-
-def truthful_ballot(g: ConfirmationNetwork, rule: Rule, voter: int) -> frozenset[int]:
-    """The canonical truth-reflecting ballot for ``voter``.
-
-    Approval: exactly the confirmation set.  Plurality / k-approval: the
-    cap-many lowest-index confirmed agents (or abstention when none exist).
-    The canonical lowest-index choice matters for reporting only; the solver
-    explores all legal ballots.
-    """
-    confirmed = sorted(g.out_neighbors[voter])
-    cap = rule.ballot_cap(g.n)
-    return frozenset(confirmed[:cap])
 
 
 def is_truthful_class(

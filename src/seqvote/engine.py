@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
 
 from .balloting import Rule, apply_ballot, legal_ballots
 from .balloting import winner as score_winner
@@ -82,13 +81,6 @@ class BudgetExceededError(RuntimeError):
         self.stats = stats
 
 
-@dataclass
-class AchievableSet:
-    """Winners elected in at least one SPE."""
-
-    winners: frozenset[int]
-
-
 @dataclass(frozen=True)
 class Policy:
     """Selects one ballot among preference-optimal ballots at every node.
@@ -124,9 +116,13 @@ class Solver:
 
     One recursion, :meth:`solve`, answers both questions asked of a state:
     its achievable set and, when a selection policy is given, the policy's
-    winner and on-path ballot.  ``use_memo`` and ``use_pruning`` exist so the
-    soundness suites can compare every configuration; both default on, and
-    neither changes any result.
+    winner and on-path ballot.  :meth:`achievable_winners` returns the set
+    as a frozenset; :meth:`policy_spe` returns the selected equilibrium
+    together with the set from the same search.  Every call starts a fresh
+    memo under its own budget, so callers that need several facts about one
+    game solve it once and read them all from that result.  ``use_memo`` and
+    ``use_pruning`` exist so the soundness suites can compare every
+    configuration; both default on, and neither changes any result.
     """
 
     def __init__(
@@ -177,16 +173,10 @@ class Solver:
 
     # -- per-call bookkeeping -------------------------------------------------
 
-    def _start(self, policy: Policy | None, reuse_cache: bool) -> None:
-        """Fresh counters and deadline for one call.
-
-        The memo survives only under ``reuse_cache``, and only when its
-        entries carry what the call asks for: a memo built under a policy
-        also serves policy-free calls, and keeps that policy.
-        """
-        if not (reuse_cache and policy in (None, self._policy)):
-            self._memo = {}
-            self._policy = policy
+    def _start(self, policy: Policy | None) -> None:
+        """Fresh memo, counters and deadline for one call."""
+        self._memo = {}
+        self._policy = policy
         self._nodes = 0
         self._hits = 0
         self._t0 = time.monotonic()
@@ -274,26 +264,23 @@ class Solver:
         A ballot approving a dead agent the mover does not confirm is
         dominated by the same ballot without that agent: the child states are
         winner-bisimilar and the larger ballot pays a strictly worse bonus.
+        Filtering the full list keeps canonical order.
         """
         if dead is None:
             return self._full_ballots[x]
         conf = self._conf[x]
-        allowed = tuple(
-            a for a in range(self.n) if a != x and (not dead[a] or a in conf)
+        banned = tuple(
+            a for a in range(self.n) if dead[a] and a != x and a not in conf
         )
-        if len(allowed) == self.n - 1:
+        if not banned:
             return self._full_ballots[x]
-        cache_key = (x, allowed)
+        cache_key = (x, banned)
         cached = self._ballot_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        entries = []
-        for size in range(0, min(self._cap, len(allowed)) + 1):
-            for members in combinations(allowed, size):
-                f = sum(1 for a in members if a in conf)
-                entries.append((members, f, len(members) - f))
-        self._ballot_cache[cache_key] = entries
-        return entries
+        if cached is None:
+            ban = set(banned)
+            cached = [e for e in self._full_ballots[x] if ban.isdisjoint(e[0])]
+            self._ballot_cache[cache_key] = cached
+        return cached
 
     def _winner(self, scores: tuple[int, ...]) -> int:
         top = max(scores)
@@ -308,17 +295,13 @@ class Solver:
         self,
         state: SubgameState | None = None,
         policy: Policy | None = None,
-        *,
-        reuse_cache: bool = False,
     ) -> tuple[frozenset[int], int | None, tuple[int, ...] | None]:
         """The memo entry of ``state`` (default: the initial state).
 
         The entry is ``(achievable set, policy winner, policy ballot)``; the
         last two are None without a policy, and the ballot is None at a
-        terminal state.  Each call has its own budget and ``last_stats``;
-        ``reuse_cache`` keeps only the transposition table from earlier calls
-        on this solver, which is sound because entries depend only on
-        (mover, scores).
+        terminal state.  Each call starts a fresh memo and has its own budget
+        and ``last_stats``.
         """
         if policy is not None:
             if policy.kind not in ("canonical", "bias_toward"):
@@ -330,17 +313,15 @@ class Solver:
         if state is None:
             state = initial_state(self.n)
         state.validate(self.n)
-        self._start(policy, reuse_cache)
+        self._start(policy)
         try:
             return self._search(state.i, state.scores)
         finally:
             self.last_stats = self._stats()
 
-    def achievable_winners(
-        self, state: SubgameState | None = None, reuse_cache: bool = False
-    ) -> AchievableSet:
+    def achievable_winners(self, state: SubgameState | None = None) -> frozenset[int]:
         """Exactly the agents elected in at least one SPE of the (sub)game."""
-        return AchievableSet(self.solve(state, reuse_cache=reuse_cache)[0])
+        return self.solve(state)[0]
 
     def policy_spe(
         self, policy: Policy, state: SubgameState | None = None
@@ -431,32 +412,13 @@ class Solver:
         return best[1], best[2]
 
 
-# -- convenience wrappers -------------------------------------------------------
-
-
-def achievable_winners(
-    g: ConfirmationNetwork, rule: Rule, *, budget: Budget | None = None
-) -> AchievableSet:
-    return Solver(g, rule, budget=budget).achievable_winners()
-
-
-def policy_spe(
-    g: ConfirmationNetwork,
-    rule: Rule,
-    policy: Policy,
-    *,
-    budget: Budget | None = None,
-) -> PolicyResult:
-    return Solver(g, rule, budget=budget).policy_spe(policy)
-
-
 class NaiveSizeError(ValueError):
     """The instance is too large for the unmemoized reference solver."""
 
 
 def naive_achievable_winners(
     g: ConfirmationNetwork, rule: Rule, *, max_leaves: int = 4_000_000
-) -> AchievableSet:
+) -> frozenset[int]:
     """Reference oracle: direct extensive-form recursion, no memo, no pruning.
 
     Enforces a hard size limit on the full game tree (roughly n <= 6 for
@@ -496,90 +458,5 @@ def naive_achievable_winners(
     result = recurse(0, (0,) * n)
     if not result:
         raise AssertionError("achievable set must be non-empty")
-    return AchievableSet(winners=frozenset(result))
+    return frozenset(result)
 
-
-# -- potentials and the low-out-degree fast check -------------------------------
-
-
-def potential(
-    g: ConfirmationNetwork, state: SubgameState, a: int
-) -> int:
-    """Current score plus in-degree from voters yet to vote: the most votes
-    ``a`` can still reach under confirmation-respecting play."""
-    g._check_agent(a)
-    state.validate(g.n)
-    remaining = set(g.voting_order[state.i :])
-    return state.scores[a] + sum(1 for b in g.in_neighbors[a] if b in remaining)
-
-
-@dataclass
-class LowOutdegreeReport:
-    winner: int
-    unique: bool
-    max_potential: int
-    winner_potential: int
-    gap_bound_holds: bool
-    passed: bool
-
-    def describe(self) -> str:
-        verdict = "pass" if self.passed else "FAIL"
-        return (
-            f"{verdict}: winner={self.winner} unique={self.unique} "
-            f"max_potential={self.max_potential} winner_potential={self.winner_potential}"
-        )
-
-
-def verify_low_outdegree_subgame(
-    g: ConfirmationNetwork,
-    rule: Rule,
-    state: SubgameState | None = None,
-    *,
-    budget: Budget | None = None,
-    solver: "Solver | None" = None,
-) -> tuple[int, LowOutdegreeReport]:
-    """Solve a subgame whose remaining voters each confirm at most one agent,
-    and check the unique-outcome and potential-gap guarantees.
-
-    Requires every remaining voter to have out-degree <= 1.  The winner must
-    be unique, and the shortfall of the winner's potential versus the best
-    potential can be at most 1, with equality only when the winner (if still
-    to vote) confirms some max-potential agent.
-    """
-    if state is None:
-        state = initial_state(g.n)
-    state.validate(g.n)
-    remaining = g.voting_order[state.i :]
-    for v in remaining:
-        if len(g.out_neighbors[v]) > 1:
-            raise ValueError(
-                f"remaining voter {v} has out-degree {len(g.out_neighbors[v])} > 1"
-            )
-    if solver is None:
-        solver = Solver(g, rule, budget=budget)
-    elif solver.g is not g or solver.rule != rule:
-        raise ValueError("supplied solver was built for a different network or rule")
-    result = solver.achievable_winners(state, reuse_cache=True)
-    unique = len(result.winners) == 1
-    w = min(result.winners)
-    pots = [potential(g, state, a) for a in range(g.n)]
-    max_pot = max(pots)
-    gap = max_pot - pots[w]
-    remaining_set = set(remaining)
-    if gap <= 0:
-        bound = True
-    elif gap == 1:
-        bound = w in remaining_set and any(
-            m in g.out_neighbors[w] and pots[m] == max_pot for m in range(g.n)
-        )
-    else:
-        bound = False
-    report = LowOutdegreeReport(
-        winner=w,
-        unique=unique,
-        max_potential=max_pot,
-        winner_potential=pots[w],
-        gap_bound_holds=bound,
-        passed=unique and bound,
-    )
-    return w, report

@@ -48,6 +48,7 @@ def ratio_from_json(value) -> Fraction | float:
         isinstance(value, list)
         and len(value) == 2
         and all(isinstance(v, int) for v in value)
+        and value[1] > 0
     ):
         return Fraction(value[0], value[1])
     raise RecordError(f"malformed ratio value {value!r}")
@@ -60,6 +61,12 @@ class WinnerMetrics:
     top_popularity_without_own_edges: int
     gap: int
     ratio: Fraction | float
+
+    @property
+    def within_factor_2(self) -> bool:
+        """The paper's factor-2 popularity bound: with the winner's own edges
+        removed, no agent is more than twice as popular as the winner."""
+        return self.top_popularity_without_own_edges <= 2 * self.popularity
 
     def as_dict(self) -> dict:
         return {
@@ -124,7 +131,7 @@ def metrics_of(
 ) -> tuple[InstanceMetrics, Solver]:
     """Winner set plus gap/ratio metrics; returns the solver for its stats."""
     solver = Solver(g, rule, budget=budget, use_pruning=use_pruning)
-    return instance_metrics(g, solver.achievable_winners().winners), solver
+    return instance_metrics(g, solver.achievable_winners()), solver
 
 
 def _verdicts(g: ConfirmationNetwork, rule: Rule, metrics: InstanceMetrics) -> dict:
@@ -133,10 +140,7 @@ def _verdicts(g: ConfirmationNetwork, rule: Rule, metrics: InstanceMetrics) -> d
         "nonempty_winners": bool(metrics.winners),
         "gaps_nonnegative": all(m.gap >= 0 for m in metrics.per_winner),
     }
-    within = [
-        m.top_popularity_without_own_edges <= 2 * m.popularity
-        for m in metrics.per_winner
-    ]
+    within = [m.within_factor_2 for m in metrics.per_winner]
     if rule.kind == "approval":
         # every achievable winner obeys the factor-2 popularity bound
         verdicts["every_winner_within_2d"] = all(within)
@@ -173,6 +177,8 @@ def resolve_instance(source) -> ConfirmationNetwork:
 
 
 def source_from_descriptor(desc: dict):
+    if not isinstance(desc, dict):
+        raise RecordError(f"instance spec must be a JSON object, got {desc!r:.80}")
     kind = desc.get("kind")
     if kind == "catalog":
         return InstanceSpec(desc["name"], desc.get("k"))
@@ -237,6 +243,9 @@ class RunRecord:
                 )
             except (KeyError, TypeError) as exc:
                 raise RecordError(f"malformed metrics block: {exc}") from exc
+        for field in ("verdicts", "stats"):
+            if not isinstance(data.get(field, {}), dict):
+                raise RecordError(f"record field {field!r} must be a JSON object")
         try:
             return RunRecord(
                 instance=data["instance"],

@@ -53,27 +53,11 @@ def assess(g: ConfirmationNetwork, x: int, ballot: frozenset[int]) -> BallotAsse
     return BallotAssessment(f=f, g=len(ballot) - f)
 
 
-def pref_key(g: ConfirmationNetwork, x: int, ballot: frozenset[int], w: int) -> PrefKey:
-    """Exact preference key of voter ``x`` for (ballot, outcome) pairs."""
-    f, penalty = assess(g, x, ballot)
-    return (outcome_level(g, x, w), -penalty, f)
-
-
 def key_from_parts(level: int, f: int, g: int) -> PrefKey:
     return (level, -g, f)
 
 
-def exact_utility(
-    g: ConfirmationNetwork, x: int, ballot: frozenset[int], w: int, eps: Fraction
-) -> Fraction:
-    """Outcome utility plus the exact truth-bias bonus, in rational arithmetic."""
-    eps = Fraction(eps)
-    if not (0 < eps < Fraction(1, 2 * g.n)):
-        raise ValueError(f"eps must lie in (0, 1/{2 * g.n}), got {eps}")
-    f, penalty = assess(g, x, ballot)
-    return _LEVEL_VALUE[outcome_level(g, x, w)] + eps * eps * f - eps * penalty
-
-
 def utility_from_parts(level: int, f: int, g: int, eps: Fraction) -> Fraction:
-    """Same utility, from raw (level, f, g) parts; used by equivalence checks."""
+    """Outcome utility plus the exact truth-bias bonus, in rational arithmetic,
+    from raw (level, f, g) parts; used by the equivalence checks."""
     return _LEVEL_VALUE[level] + eps * eps * f - eps * g

@@ -31,8 +31,8 @@ from .engine import (
     Solver,
     SubgameState,
     naive_achievable_winners,
-    verify_low_outdegree_subgame,
 )
+from .experiments import instance_metrics, run_one
 from .families import (
     InstanceSpec,
     RandomSpec,
@@ -152,7 +152,7 @@ def check_golden_instances(heavy: bool = True, log: TextIO | None = None) -> Che
             failures.append(f"{label} ({got})" if got else label)
 
     def solve(g, rule, seconds=None):
-        return Solver(g, rule, budget=Budget(max_seconds=seconds)).achievable_winners().winners
+        return Solver(g, rule, budget=Budget(max_seconds=seconds)).achievable_winners()
 
     def ratio_of(g, w) -> Fraction | float:
         return net.ratio(g, w)
@@ -196,12 +196,12 @@ def check_golden_instances(heavy: bool = True, log: TextIO | None = None) -> Che
         scores = [0] * gk.n
         scores[agent_index(gk, "c1")] = 1
         sub = sv.achievable_winners(SubgameState(1, tuple(scores)))
-        names = _winner_names(gk, sub.winners)
+        names = _winner_names(gk, sub)
         expect("g_k(2) approval subgame d1a={c1} -> W={c2}", names == ["c2"], str(names))
         scores = [0] * gk.n
         scores[agent_index(gk, "c3")] = 2
         sub = sv.achievable_winners(SubgameState(2, tuple(scores)))
-        names = _winner_names(gk, sub.winners)
+        names = _winner_names(gk, sub)
         expect("g_k(2) approval subgame d1={c3},{c3} -> W={c3}", names == ["c3"], str(names))
         skipped.append("g_k(2) approval full solve")
 
@@ -257,7 +257,7 @@ def check_golden_experimental(log: TextIO | None = None) -> CheckResult:
 
     def body() -> tuple[bool, str]:
         g = gen_paper_instance(InstanceSpec("h_k", 3))
-        w = Solver(g, APPROVAL, budget=Budget(max_seconds=7200)).achievable_winners().winners
+        w = Solver(g, APPROVAL, budget=Budget(max_seconds=7200)).achievable_winners()
         names = _winner_names(g, w)
         _log(log, f"  experimental h_k(3) approval W={names}")
         return names == ["c1"], f"W={names}"
@@ -274,11 +274,11 @@ def check_oracle_equivalence(log: TextIO | None = None) -> CheckResult:
         total = 0
         for spec, rule in oracle_specs():
             g = gen_random(spec)
-            reference = naive_achievable_winners(g, rule).winners
+            reference = naive_achievable_winners(g, rule)
             for use_memo, use_pruning in ((True, True), (True, False), (False, True)):
                 got = Solver(
                     g, rule, use_memo=use_memo, use_pruning=use_pruning
-                ).achievable_winners().winners
+                ).achievable_winners()
                 total += 1
                 if got != reference:
                     mismatches += 1
@@ -296,6 +296,37 @@ def check_oracle_equivalence(log: TextIO | None = None) -> CheckResult:
 # -- checks 3-5: randomized invariant suites ------------------------------------
 
 
+def low_outdegree_verdict(g: ConfirmationNetwork, winners) -> tuple[bool, str]:
+    """The guarantees of a game whose voters each confirm at most one agent,
+    checked on its achievable set ``winners``.
+
+    An agent's potential is the most votes it can still reach under
+    confirmation-respecting play; for the whole game that is its in-degree.
+    The winner must be unique, and its potential may fall short of the best
+    potential by at most 1, and by exactly 1 only when the winner confirms
+    some max-potential agent.  Returns the verdict and a one-line report.
+    """
+    for v in g.voting_order:
+        if len(g.out_neighbors[v]) > 1:
+            raise ValueError(
+                f"remaining voter {v} has out-degree {len(g.out_neighbors[v])} > 1"
+            )
+    unique = len(winners) == 1
+    w = min(winners)
+    pots = [len(g.in_neighbors[a]) for a in range(g.n)]
+    max_pot = max(pots)
+    gap = max_pot - pots[w]
+    bound = gap <= 0 or (
+        gap == 1 and any(pots[m] == max_pot for m in g.out_neighbors[w])
+    )
+    passed = unique and bound
+    report = (
+        f"{'pass' if passed else 'FAIL'}: winner={w} unique={unique} "
+        f"max_potential={max_pot} winner_potential={pots[w]}"
+    )
+    return passed, report
+
+
 def check_low_outdegree_suite(
     samples: list[PathSample] | None = None, log: TextIO | None = None
 ) -> CheckResult:
@@ -306,20 +337,19 @@ def check_low_outdegree_suite(
         for spec in low_outdegree_specs():
             g = gen_random(spec)
             for rule in (PLURALITY, APPROVAL):
-                solver = Solver(g, rule)
-                spe = solver.policy_spe(Policy.canonical())
+                spe = Solver(g, rule).policy_spe(Policy.canonical())
                 winners = spe.winners
                 ok = len(winners) == 1
                 if ok:
                     (w,) = winners
                     ok = net.additive_gap(g, w) == 0
-                _w, report = verify_low_outdegree_subgame(g, rule, solver=solver)
-                if not (ok and report.passed):
+                passed, report = low_outdegree_verdict(g, winners)
+                if not (ok and passed):
                     violations += 1
                     _log(
                         log,
                         f"  low-outdegree violation seed={spec.seed} rule={rule.label()}: "
-                        f"W={sorted(winners)} report={report.describe()}",
+                        f"W={sorted(winners)} report={report}",
                     )
                     continue
                 if samples is not None:
@@ -339,18 +369,13 @@ def check_approval_bound_suite(
         for spec in approval_bound_specs():
             g = gen_random(spec)
             spe = Solver(g, APPROVAL).policy_spe(Policy.canonical())
-            winners = spe.winners
-            bad = [
-                w
-                for w in winners
-                if net.degree_profile(net.remove_out_edges(g, w)).max_in
-                > 2 * net.popularity(g, w)
-            ]
+            metrics = instance_metrics(g, spe.winners)
+            bad = [m.agent for m in metrics.per_winner if not m.within_factor_2]
             if bad:
                 violations += 1
                 _log(
                     log,
-                    f"  approval bound violation seed={spec.seed}: winners {sorted(bad)} "
+                    f"  approval bound violation seed={spec.seed}: winners {bad} "
                     f"exceed twice their popularity; graph={net.serialize(g)}",
                 )
                 continue
@@ -378,23 +403,17 @@ def check_plurality_bound_suite(
         for spec in plurality_bound_specs():
             g = gen_random(spec)
             spe = Solver(g, PLURALITY).policy_spe(Policy.bias_toward(most_popular(g)))
-            winners = spe.winners
-
-            def within(w: int) -> bool:
-                return (
-                    net.degree_profile(net.remove_out_edges(g, w)).max_in
-                    <= 2 * net.popularity(g, w)
-                )
-
-            if not any(within(w) for w in winners):
+            metrics = instance_metrics(g, spe.winners)
+            within = {m.agent: m.within_factor_2 for m in metrics.per_winner}
+            if not any(within.values()):
                 hard += 1
                 _log(
                     log,
                     f"  plurality existence violation seed={spec.seed}: "
-                    f"W={sorted(winners)}; graph={net.serialize(g)}",
+                    f"W={metrics.winners}; graph={net.serialize(g)}",
                 )
                 continue
-            if not within(spe.winner):
+            if not within[spe.winner]:
                 soft += 1
                 _log(
                     log,
@@ -523,8 +542,6 @@ def record_fingerprint(record) -> str:
 
 
 def check_determinism(log: TextIO | None = None) -> CheckResult:
-    from .experiments import run_one
-
     def body() -> tuple[bool, str]:
         mismatches = 0
         total = 0

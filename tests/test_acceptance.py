@@ -51,7 +51,7 @@ def test_criterion_1_heavy_gap_family_approval():
     """Full approval solve of the gap-2 family (budget 60 min)."""
     g = gen_paper_instance(InstanceSpec("g_k", 2))
     s = Solver(g, APPROVAL, budget=Budget(max_seconds=3600))
-    winners = {g.names[w] for w in s.achievable_winners().winners}
+    winners = {g.names[w] for w in s.achievable_winners()}
     assert winners == {"c3"}, winners
 
 
@@ -126,7 +126,7 @@ def test_criterion_1_kapproval_chain_c3_achievable():
 
     rule = k_approval(2)
     s = Solver(g, rule, budget=Budget(max_seconds=1800))
-    assert names(s.achievable_winners().winners) == {"c1", "c2"}
+    assert names(s.achievable_winners()) == {"c1", "c2"}
 
     d_voters = tuple(idx[d] for d in ("d1", "d2", "d3"))
     assert g.voting_order[:3] == d_voters

@@ -14,7 +14,6 @@ from seqvote.balloting import (
     k_approval,
     legal_ballots,
     rule_from_strings,
-    truthful_ballot,
     winner,
 )
 from seqvote.network import ConfirmationNetwork
@@ -89,15 +88,6 @@ def test_winner_tiebreak():
     assert winner((1, 2, 2), (2, 1, 0)) == 2
     # everyone at zero: the first agent in the tie-breaking order wins
     assert winner((0, 0, 0), (2, 0, 1)) == 2
-
-
-def test_truthful_ballot_by_rule():
-    g = ConfirmationNetwork.build(5, [(0, 1), (0, 2), (0, 4), (3, 2)])
-    assert truthful_ballot(g, APPROVAL, 0) == frozenset({1, 2, 4})
-    assert truthful_ballot(g, PLURALITY, 0) == frozenset({1})
-    assert truthful_ballot(g, k_approval(2), 0) == frozenset({1, 2})
-    # no confirmations: truthfully abstain
-    assert truthful_ballot(g, PLURALITY, 4) == frozenset()
 
 
 def test_truthful_class_membership():

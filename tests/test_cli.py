@@ -16,6 +16,8 @@ from click.testing import CliRunner
 from seqvote import cli, network
 from seqvote.balloting import PLURALITY
 from seqvote.engine import Policy, Solver
+from seqvote.experiments import run_one
+from seqvote.families import InstanceSpec
 
 CMD = [sys.executable, "-m", "seqvote.cli"]
 
@@ -177,6 +179,38 @@ def test_metrics_bad_spec_line_exits_1(tmp_path):
     specs.write_text('{"kind": "martian"}\n')
     result = run_cli("metrics", "--in", str(specs), "--rule", "plurality")
     assert result.returncode == 1
+
+
+@pytest.mark.parametrize(
+    "command,edit",
+    [
+        ("metrics", lambda doc: [1, 2]),
+        ("report", lambda doc: {**doc, "rule": {"kind": "k_approval", "cap": "x"}}),
+        ("report", lambda doc: {**doc, "stats": [1]}),
+        ("report", lambda doc: {**doc, "verdicts": []}),
+        ("report", lambda doc: {**doc, "metrics": {**doc["metrics"], "r_max": [1, 0]}}),
+    ],
+    ids=[
+        "spec-not-an-object",
+        "rule-cap-not-an-int",
+        "stats-not-an-object",
+        "verdicts-not-an-object",
+        "ratio-zero-denominator",
+    ],
+)
+def test_malformed_input_line_exits_1_without_traceback(tmp_path, command, edit):
+    """Each line is JSON that a well-formed record (or spec) line could be
+    edited into; it must be rejected where it is parsed."""
+    doc = run_one(InstanceSpec("example2"), PLURALITY).as_dict()
+    path = tmp_path / "in.jsonl"
+    path.write_text(json.dumps(edit(doc)) + "\n")
+    args = [command, "--in", str(path)]
+    if command == "metrics":
+        args += ["--rule", "plurality"]
+    result = run_cli(*args)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:"), result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_k_approval_requires_k(tmp_path):

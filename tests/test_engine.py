@@ -13,15 +13,11 @@ from seqvote.engine import (
     Policy,
     Solver,
     SubgameState,
-    achievable_winners,
-    initial_state,
     naive_achievable_winners,
-    policy_spe,
-    potential,
-    verify_low_outdegree_subgame,
 )
 from seqvote.families import InstanceSpec, RandomSpec, gen_paper_instance, gen_random
 from seqvote.network import ConfirmationNetwork
+from seqvote.verify import low_outdegree_verdict
 
 
 def example1():
@@ -32,30 +28,34 @@ def example2():
     return gen_paper_instance(InstanceSpec("example2"))
 
 
+def winners_of(g, rule):
+    return Solver(g, rule).achievable_winners()
+
+
 # -- golden outcomes ------------------------------------------------------------
 
 
 def test_example1_winners():
     g = example1()
-    assert {g.names[w] for w in achievable_winners(g, PLURALITY).winners} == {"1"}
-    assert {g.names[w] for w in achievable_winners(g, APPROVAL).winners} == {"5"}
+    assert {g.names[w] for w in winners_of(g, PLURALITY)} == {"1"}
+    assert {g.names[w] for w in winners_of(g, APPROVAL)} == {"5"}
 
 
 def test_example2_winners():
     g = example2()
-    assert {g.names[w] for w in achievable_winners(g, PLURALITY).winners} == {"3"}
-    assert {g.names[w] for w in achievable_winners(g, APPROVAL).winners} == {"4"}
+    assert {g.names[w] for w in winners_of(g, PLURALITY)} == {"3"}
+    assert {g.names[w] for w in winners_of(g, APPROVAL)} == {"4"}
 
 
 def test_single_agent_game():
     g = ConfirmationNetwork.build(1, [])
-    assert achievable_winners(g, PLURALITY).winners == frozenset({0})
+    assert winners_of(g, PLURALITY) == frozenset({0})
 
 
 def test_empty_graph_earliest_tiebreak_wins():
     g = ConfirmationNetwork.build(3, [], tiebreak_order=[2, 0, 1])
     # nobody confirms anyone: abstention everywhere, zero-vote winner by order
-    assert achievable_winners(g, PLURALITY).winners == frozenset({2})
+    assert winners_of(g, PLURALITY) == frozenset({2})
 
 
 # -- oracle agreement -----------------------------------------------------------
@@ -76,8 +76,8 @@ def random_instances(count, n_max, seed0):
 )
 def test_solver_matches_naive_oracle(rule, n_max):
     for g in random_instances(30, n_max, seed0=900):
-        expected = naive_achievable_winners(g, rule).winners
-        got = achievable_winners(g, rule).winners
+        expected = naive_achievable_winners(g, rule)
+        got = winners_of(g, rule)
         assert got == expected, (g.n, sorted(g.edges))
 
 
@@ -88,7 +88,7 @@ def test_memo_and_pruning_do_not_change_results():
             for pruning in (True, False):
                 solver = Solver(g, APPROVAL, use_memo=memo, use_pruning=pruning)
                 spe = solver.policy_spe(Policy.bias_toward(g.n - 1))
-                winners = solver.achievable_winners().winners
+                winners = solver.achievable_winners()
                 results.add((winners, spe.winners, spe.winner, tuple(spe.path)))
         assert len(results) == 1
 
@@ -99,7 +99,7 @@ def test_naive_oracle_refuses_oversized_games():
         naive_achievable_winners(g, APPROVAL)
 
 
-# -- subgames and the reused memo -------------------------------------------------
+# -- subgames and repeated calls --------------------------------------------------
 
 
 def test_subgame_state_validation():
@@ -117,15 +117,7 @@ def test_solving_from_a_mid_game_state():
     scores = [0] * g.n
     scores[3] = 1
     sub = Solver(g, APPROVAL).achievable_winners(SubgameState(1, tuple(scores)))
-    assert sub.winners  # non-empty by SPE existence
-
-
-def test_reuse_cache_gives_same_answer():
-    g = example2()
-    s = Solver(g, APPROVAL)
-    fresh = s.achievable_winners().winners
-    again = s.achievable_winners(reuse_cache=True).winners
-    assert fresh == again
+    assert sub  # non-empty by SPE existence
 
 
 def test_reuse_cache_call_has_its_own_node_budget():
@@ -133,11 +125,10 @@ def test_reuse_cache_call_has_its_own_node_budget():
     probe = Solver(g, APPROVAL)
     probe.achievable_winners()
     s = Solver(g, APPROVAL, budget=Budget(max_nodes=probe.last_stats.nodes))
-    first = s.achievable_winners().winners
-    # the memo answers the root at once; the first call's nodes are not counted
-    assert s.achievable_winners(reuse_cache=True).winners == first
-    assert s.last_stats.nodes == 1
-    assert s.last_stats.cache_hits == 1
+    first = s.achievable_winners()
+    # the second call searches afresh; the first call's nodes are not counted
+    assert s.achievable_winners() == first
+    assert s.last_stats.nodes == probe.last_stats.nodes
 
 
 def test_reuse_cache_call_has_its_own_deadline_and_clock(monkeypatch):
@@ -145,18 +136,10 @@ def test_reuse_cache_call_has_its_own_deadline_and_clock(monkeypatch):
     monkeypatch.setattr(engine, "time", SimpleNamespace(monotonic=lambda: clock[0]))
     g = example2()
     s = Solver(g, APPROVAL, budget=Budget(max_seconds=10))
-    first = s.achievable_winners().winners
+    first = s.achievable_winners()
     clock[0] += 60  # the first call's deadline has long passed
-    assert s.achievable_winners(reuse_cache=True).winners == first
+    assert s.achievable_winners() == first
     assert s.last_stats.wall_seconds == 0.0
-
-
-def test_policy_memo_serves_a_later_policy_free_call():
-    g = example2()
-    s = Solver(g, APPROVAL)
-    spe = s.policy_spe(Policy.canonical())
-    assert s.achievable_winners(reuse_cache=True).winners == spe.winners
-    assert s.last_stats.nodes == s.last_stats.cache_hits == 1
 
 
 # -- policy extraction ----------------------------------------------------------
@@ -165,9 +148,9 @@ def test_policy_memo_serves_a_later_policy_free_call():
 def test_canonical_policy_path_is_consistent():
     for rule in (PLURALITY, APPROVAL):
         g = example1()
-        spe = policy_spe(g, rule, Policy.canonical())
+        spe = Solver(g, rule).policy_spe(Policy.canonical())
         assert len(spe.path) == g.n
-        assert spe.winners == achievable_winners(g, rule).winners
+        assert spe.winners == winners_of(g, rule)
         assert spe.winner in spe.winners
         # replaying the path produces the reported winner
         scores = [0] * g.n
@@ -181,7 +164,7 @@ def test_canonical_policy_path_is_consistent():
 
 def test_policy_ballots_are_legal():
     g = example2()
-    spe = policy_spe(g, PLURALITY, Policy.canonical())
+    spe = Solver(g, PLURALITY).policy_spe(Policy.canonical())
     for i, ballot in enumerate(spe.path):
         voter = g.voting_order[i]
         assert ballot in set(legal_ballots(PLURALITY, voter, g.n))
@@ -189,9 +172,9 @@ def test_policy_ballots_are_legal():
 
 def test_bias_policy_reaches_biased_winner_when_achievable():
     for g in random_instances(20, 5, seed0=3300):
-        winners = achievable_winners(g, PLURALITY).winners
+        winners = winners_of(g, PLURALITY)
         target = min(winners)
-        spe = policy_spe(g, PLURALITY, Policy.bias_toward(target))
+        spe = Solver(g, PLURALITY).policy_spe(Policy.bias_toward(target))
         assert spe.winner in winners
 
 
@@ -217,30 +200,22 @@ def test_time_budget_exceeded():
         Solver(g, APPROVAL, budget=Budget(max_seconds=0.05)).achievable_winners()
 
 
-# -- potential and the low-out-degree guarantee ---------------------------------
-
-
-def test_potential_counts_remaining_confirmers():
-    g = example2()  # edges 1->4, 2->3, 3->4 in display names
-    state = initial_state(g.n)
-    assert potential(g, state, 3) == 2  # confirmed by agents 0 and 2
-    scores = [0] * g.n
-    scores[3] = 1
-    assert potential(g, SubgameState(1, tuple(scores)), 3) == 2  # 1 banked + 1 to come
+# -- the low-out-degree guarantee ------------------------------------------------
 
 
 def test_low_outdegree_guarantee_on_example2():
     g = example2()
     for rule in (PLURALITY, APPROVAL):
-        w, report = verify_low_outdegree_subgame(g, rule)
-        assert report.passed, report.describe()
-        assert report.unique
+        winners = winners_of(g, rule)
+        passed, report = low_outdegree_verdict(g, winners)
+        assert passed, report
+        assert len(winners) == 1
 
 
 def test_low_outdegree_rejects_branchy_graphs():
     g = example1()  # agent "2" confirms two agents
     with pytest.raises(ValueError):
-        verify_low_outdegree_subgame(g, PLURALITY)
+        low_outdegree_verdict(g, winners_of(g, PLURALITY))
 
 
 # -- SPE existence, property-based ----------------------------------------------
@@ -257,15 +232,15 @@ def tiny_graphs(draw):
 @settings(max_examples=60, deadline=None)
 @given(tiny_graphs())
 def test_achievable_set_never_empty(g):
-    assert achievable_winners(g, PLURALITY).winners
+    assert winners_of(g, PLURALITY)
 
 
 @settings(max_examples=40, deadline=None)
 @given(tiny_graphs())
 def test_plurality_equals_1_approval(g):
     assert (
-        achievable_winners(g, PLURALITY).winners
-        == achievable_winners(g, k_approval(1)).winners
+        winners_of(g, PLURALITY)
+        == winners_of(g, k_approval(1))
     )
 
 
@@ -275,6 +250,6 @@ def test_approval_equals_nminus1_approval(g):
     if g.n < 2:
         return
     assert (
-        achievable_winners(g, APPROVAL).winners
-        == achievable_winners(g, k_approval(g.n - 1)).winners
+        winners_of(g, APPROVAL)
+        == winners_of(g, k_approval(g.n - 1))
     )

@@ -10,10 +10,8 @@ from seqvote.preferences import (
     LEVEL_SELF,
     LEVEL_UNCONFIRMED,
     assess,
-    exact_utility,
     key_from_parts,
     outcome_level,
-    pref_key,
     utility_from_parts,
 )
 
@@ -40,11 +38,6 @@ def test_assess_counts_confirmed_and_not(g):
     assert assess(g, 2, frozenset()) == (0, 0)
 
 
-def test_pref_key_shape(g):
-    key = pref_key(g, 0, frozenset({1, 2}), 3)
-    assert key == (LEVEL_CONFIRMED, -1, 1)
-
-
 def test_key_prefers_level_over_any_bonus():
     # a confirmed outcome with the worst ballot beats an unconfirmed outcome
     # with the best ballot
@@ -53,19 +46,6 @@ def test_key_prefers_level_over_any_bonus():
 
 def test_key_prefers_fewer_unconfirmed_votes_over_more_confirmed():
     assert key_from_parts(1, 0, 0) > key_from_parts(1, 5, 1)
-
-
-def test_exact_utility_validates_eps(g):
-    with pytest.raises(ValueError):
-        exact_utility(g, 0, frozenset(), 1, Fraction(1, 8))  # 1/(2n) = 1/8
-    with pytest.raises(ValueError):
-        exact_utility(g, 0, frozenset(), 1, Fraction(0))
-
-
-def test_exact_utility_value(g):
-    eps = Fraction(1, 100)
-    u = exact_utility(g, 0, frozenset({1, 2}), 3, eps)
-    assert u == Fraction(1, 2) + eps * eps * 1 - eps * 1
 
 
 def test_key_matches_exact_utility_exhaustively():
