@@ -15,12 +15,33 @@ sustained through ``b`` exactly when, for every alternative ballot ``b'``,
 ``x`` weakly prefers ``(b, w)`` to the worst element of ``C_{b'}`` under the
 lexicographic preference key (outcome level, -g, f).  The state's achievable
 set is the union of sustainable outcomes.
+
+Exact cuts (``use_pruning``), none of which changes a result:
+
+- Dead agents.  An agent that can no longer win under any continuation is
+  dead.  Dead agents' scores are masked out of memo keys, and a ballot
+  approving a dead agent the mover does not confirm is dominated by the same
+  ballot without it.
+- Quiescent suffix.  When no voter still to move confirms a live agent, the
+  current leader wins every SPE of the subgame: by backward induction, a
+  vote for a live agent costs its voter -g and can only elect someone that
+  voter values at level 0, and a vote for a dead agent changes no winner.
+  The search stops there; the policy path's suffix ballots are rebuilt on
+  demand.
+- Threat bound, the set-valued form of alpha-beta pruning (Knuth & Moore,
+  1975).  Only live agents can win, so no outcome of ballot ``b`` has a key
+  above ``(L, -g_b, f_b)``, where ``L`` is the mover's best level over live
+  agents.  Ballots are visited in ``(g ascending, f descending)`` order and
+  ``m1`` is the largest worst key seen so far; once a ballot's bound falls
+  below ``m1`` so do all later ones, and none of them can add a winner, be
+  the threshold, or be a policy's choice.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .balloting import Rule, apply_ballot, legal_ballots
 from .balloting import winner as score_winner
@@ -63,6 +84,8 @@ class SolveStats:
     cache_hits: int = 0
     cache_size: int = 0
     wall_seconds: float = 0.0
+    quiescent: int = 0  # quiescent-suffix shortcuts taken
+    bound_skips: int = 0  # ballots the threat bound skipped
 
     def as_dict(self) -> dict:
         return {
@@ -70,6 +93,8 @@ class SolveStats:
             "cache_hits": self.cache_hits,
             "cache_size": self.cache_size,
             "wall_seconds": self.wall_seconds,
+            "quiescent": self.quiescent,
+            "bound_skips": self.bound_skips,
         }
 
 
@@ -120,9 +145,14 @@ class Solver:
     as a frozenset; :meth:`policy_spe` returns the selected equilibrium
     together with the set from the same search.  Every call starts a fresh
     memo under its own budget, so callers that need several facts about one
-    game solve it once and read them all from that result.  ``use_memo`` and
-    ``use_pruning`` exist so the soundness suites can compare every
-    configuration; both default on, and neither changes any result.
+    game solve it once and read them all from that result.
+
+    ``use_memo`` and ``use_pruning`` exist so the soundness suites can
+    compare every configuration; both default on, and neither changes any
+    result.  ``use_pruning`` covers every exact cut: dead agents in memo keys
+    and ballot lists, the quiescent-suffix shortcut and the threat bound.
+    With it off the search is the plain recursion over every legal ballot in
+    canonical order.
     """
 
     def __init__(
@@ -144,27 +174,57 @@ class Solver:
         self.n = n
         self._order = g.voting_order
         self._tb = g.tiebreak_order
-        self._tb_rank = [0] * n
-        for rank, a in enumerate(g.tiebreak_order):
-            self._tb_rank[a] = rank
-        self._pos = [0] * n
-        for pos, a in enumerate(g.voting_order):
-            self._pos[a] = pos
-        self._conf = [g.out_neighbors[a] for a in range(n)]
+        # Preference keys (level, -g, f) packed into ints that compare the
+        # same way: level * unit + base, with base = (n - g) * (n + 1) + f.
+        radix = n + 1
+        unit = radix * radix
         self._level = [
-            [outcome_level(g, x, w) for w in range(n)] for x in range(n)
+            [outcome_level(g, x, w) * unit for w in range(n)] for x in range(n)
         ]
-        self._cap = rule.ballot_cap(n)
-        # Full canonical ballot lists per voter: (members, f, g) triples.
+        self._unit = unit
+        self._no_bound = 3 * unit  # above every key: the bound never fires
+        # Full canonical ballot lists per voter: (members, base, canonical
+        # index).
         self._full_ballots: list[list[tuple[tuple[int, ...], int, int]]] = []
         for x in range(n):
             entries = []
-            for b in legal_ballots(rule, x, n):
-                members = tuple(sorted(b))
+            for idx, b in enumerate(legal_ballots(rule, x, n)):
                 f, gcnt = assess(g, x, b)
-                entries.append((members, f, gcnt))
+                entries.append((tuple(sorted(b)), (n - gcnt) * radix + f, idx))
             self._full_ballots.append(entries)
-        self._ballot_cache: dict[tuple[int, tuple[int, ...]], list] = {}
+        # Pruned searches visit ballots best bonus first (g ascending, f
+        # descending), canonical order among equals; the threat bound needs it.
+        self._visit_order = [
+            sorted(entries, key=itemgetter(1), reverse=True)
+            for entries in self._full_ballots
+        ]
+        self._ballot_cache: dict[tuple[int, int], list] = {}
+        self._bits = [1 << a for a in range(n)]
+        self._all = (1 << n) - 1
+        self._conf_mask = [sum(1 << a for a in g.out_neighbors[x]) for x in range(n)]
+        # Dead agents a voter does not confirm: approving one is dominated.
+        self._droppable = [
+            self._all & ~self._conf_mask[x] & ~(1 << x) for x in range(n)
+        ]
+        # later_conf[i]: agents confirmed by some voter of order[i:].
+        self._later_conf = [0] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            self._later_conf[i] = self._later_conf[i + 1] | self._conf_mask[self._order[i]]
+        # Deadness compares (votes, tie-break precedence) packed as
+        # votes * n + (n - 1 - tie-break rank); reach_key[i][z] adds the votes
+        # z can still receive once i ballots are cast.
+        tb_rank = [0] * n
+        for rank, a in enumerate(g.tiebreak_order):
+            tb_rank[a] = rank
+        pos = [0] * n
+        for p, a in enumerate(g.voting_order):
+            pos[a] = p
+        self._tb_key = [n - 1 - tb_rank[a] for a in range(n)]
+        self._leader_of = [g.tiebreak_order[n - 1 - t] for t in range(n)]
+        self._reach_key = [
+            [((n - i) - (1 if pos[z] >= i else 0)) * n + self._tb_key[z] for z in range(n)]
+            for i in range(n + 1)
+        ]
         # Memo entries of terminal states, one per winner.
         self._terminal = [(frozenset((w,)), w, None) for w in range(n)]
         self._memo: dict = {}
@@ -174,11 +234,14 @@ class Solver:
     # -- per-call bookkeeping -------------------------------------------------
 
     def _start(self, policy: Policy | None) -> None:
-        """Fresh memo, counters and deadline for one call."""
+        """Fresh memo, counters and budget for one call."""
         self._memo = {}
         self._policy = policy
         self._nodes = 0
         self._hits = 0
+        self._quiescent = 0
+        self._bound_skips = 0
+        self._max_nodes = self.budget.max_nodes
         self._t0 = time.monotonic()
         max_s = self.budget.max_seconds
         self._deadline = self._t0 + max_s if max_s is not None else None
@@ -189,11 +252,13 @@ class Solver:
             cache_hits=self._hits,
             cache_size=len(self._memo),
             wall_seconds=time.monotonic() - self._t0,
+            quiescent=self._quiescent,
+            bound_skips=self._bound_skips,
         )
 
     def _tick(self) -> None:
         self._nodes += 1
-        max_n = self.budget.max_nodes
+        max_n = self._max_nodes
         if max_n is not None and self._nodes > max_n:
             raise BudgetExceededError(
                 f"node budget of {max_n} exceeded", self._stats()
@@ -206,79 +271,45 @@ class Solver:
 
     # -- dead agents and memo keys --------------------------------------------
 
-    def _dead(self, i: int, scores: tuple[int, ...]) -> tuple[bool, ...] | None:
-        """Agents that can no longer win under any continuation.
+    def _dead(self, i: int, scores: tuple[int, ...]) -> tuple[int, int]:
+        """The bitmask of agents that can no longer win, and the leader.
 
-        ``z`` is dead when some other agent's current score already exceeds
-        the most votes ``z`` can still reach, or equals it while preceding
-        ``z`` in the tie-breaking order.  Deadness is monotone along play and
-        depends only on live agents' scores.
+        The leader is ``winner(scores)``.  ``z`` is dead when, given every
+        vote it can still receive, it still trails the leader: fewer votes,
+        or as many and later in the tie-breaking order.  Deadness is
+        monotone along play and depends only on live agents' scores.
         """
         n = self.n
-        max_s = max(scores)
-        slots = n - i
-        tb_rank = self._tb_rank
-        best_rank = n
-        second_rank = n
-        best_agent = -1
-        for a in range(n):
-            if scores[a] == max_s:
-                r = tb_rank[a]
-                if r < best_rank:
-                    second_rank = best_rank
-                    best_rank = r
-                    best_agent = a
-                elif r < second_rank:
-                    second_rank = r
-        pos = self._pos
-        dead = [False] * n
-        any_dead = False
-        for z in range(n):
-            reach = scores[z] + slots - (1 if pos[z] >= i else 0)
-            if reach < max_s:
-                dead[z] = True
-                any_dead = True
-            elif reach == max_s:
-                rival = second_rank if z == best_agent else best_rank
-                if rival < tb_rank[z]:
-                    dead[z] = True
-                    any_dead = True
-        if not any_dead:
-            return None
-        return tuple(dead)
+        lead = max([s * n + t for s, t in zip(scores, self._tb_key)])
+        dead = 0
+        for s, reach, bit in zip(scores, self._reach_key[i], self._bits):
+            if s * n + reach < lead:
+                dead |= bit
+        return dead, self._leader_of[lead % n]
 
-    def _canon(
-        self, scores: tuple[int, ...], dead: tuple[bool, ...] | None
-    ) -> tuple[int, ...]:
-        if dead is None:
+    def _canon(self, scores: tuple[int, ...], dead: int) -> tuple[int, ...]:
+        if not dead:
             return scores
         return tuple(
-            _DEAD_SENTINEL if dead[z] else scores[z] for z in range(self.n)
+            [_DEAD_SENTINEL if dead & bit else s for s, bit in zip(scores, self._bits)]
         )
 
-    def _ballots_at(
-        self, x: int, dead: tuple[bool, ...] | None
-    ) -> list[tuple[tuple[int, ...], int, int]]:
-        """Legal ballots for mover ``x``, with dominated ballots pruned.
+    def _ballots_at(self, x: int, dead: int) -> list[tuple[tuple[int, ...], int, int]]:
+        """Legal ballots for mover ``x`` in visit order, dominated ones pruned.
 
         A ballot approving a dead agent the mover does not confirm is
         dominated by the same ballot without that agent: the child states are
         winner-bisimilar and the larger ballot pays a strictly worse bonus.
-        Filtering the full list keeps canonical order.
+        Filtering the visit-ordered list keeps its order.
         """
-        if dead is None:
-            return self._full_ballots[x]
-        conf = self._conf[x]
-        banned = tuple(
-            a for a in range(self.n) if dead[a] and a != x and a not in conf
-        )
+        banned = dead & self._droppable[x]
         if not banned:
-            return self._full_ballots[x]
+            return self._visit_order[x]
         cache_key = (x, banned)
         cached = self._ballot_cache.get(cache_key)
         if cached is None:
-            ban = set(banned)
-            cached = [e for e in self._full_ballots[x] if ban.isdisjoint(e[0])]
+            ban = {a for a in range(self.n) if banned >> a & 1}
+            cached = [e for e in self._visit_order[x] if ban.isdisjoint(e[0])]
             self._ballot_cache[cache_key] = cached
         return cached
 
@@ -315,9 +346,10 @@ class Solver:
         state.validate(self.n)
         self._start(policy)
         try:
-            return self._search(state.i, state.scores)
+            entry = self._search(state.i, state.scores)
         finally:
             self.last_stats = self._stats()
+        return entry if policy is not None else (entry[0], None, None)
 
     def achievable_winners(self, state: SubgameState | None = None) -> frozenset[int]:
         """Exactly the agents elected in at least one SPE of the (sub)game."""
@@ -331,6 +363,10 @@ class Solver:
         if state is None:
             state = initial_state(self.n)
         winners, winner, _ = self.solve(state, policy)
+        # The search is over and last_stats holds its counts.  The walk reads
+        # the path back from it; a subgame it must search again (no memo) is
+        # outside that search's budget.
+        self._max_nodes = self._deadline = None
         path = []
         i, scores = state.i, state.scores
         while i < self.n:
@@ -344,36 +380,66 @@ class Solver:
         return PolicyResult(path=path, winner=winner, winners=winners)
 
     def _visited(self, i: int, scores: tuple[int, ...]):
-        """Memo entry of a state the last search reached; without a memo, the
-        state is searched again."""
-        if not self.use_memo:
-            return self._search(i, scores)
-        dead = self._dead(i, scores) if self.use_pruning else None
-        return self._memo[(i, self._canon(scores, dead))]
+        """Entry of a state on the selected path: from the memo, or rebuilt
+        where the search left none (a quiescent shortcut, or no memo)."""
+        dead = 0
+        if self.use_pruning:
+            dead, leader = self._dead(i, scores)
+            if not (self._all ^ dead) & self._later_conf[i]:
+                return self._settled(self._order[i], dead, leader)
+        if self.use_memo:
+            return self._memo[(i, self._canon(scores, dead))]
+        return self._search(i, scores)
 
     def _search(self, i: int, scores: tuple[int, ...]):
         if i == self.n:
             return self._terminal[self._winner(scores)]
         self._tick()
-        dead = self._dead(i, scores) if self.use_pruning else None
+        x = self._order[i]
+        dead = 0
+        if self.use_pruning:
+            dead, leader = self._dead(i, scores)
+            live = self._all ^ dead
+            if not live & self._later_conf[i]:
+                self._quiescent += 1
+                return self._settled(x, dead, leader)
         if self.use_memo:
             key = (i, self._canon(scores, dead))
             hit = self._memo.get(key)
             if hit is not None:
                 self._hits += 1
                 return hit
-        x = self._order[i]
         levels = self._level[x]
+        if self.use_pruning:
+            ballots = self._ballots_at(x, dead)
+            # The mover's best level over live agents: no ballot reaches more.
+            if live >> x & 1:
+                bound = levels[x]
+            elif live & self._conf_mask[x]:
+                bound = self._unit
+            else:
+                bound = 0
+        else:
+            ballots = self._full_ballots[x]
+            bound = self._no_bound
         search = self._search
-        entries = []  # (worst key, child entry, members) per ballot
-        for members, f, gcnt in self._ballots_at(x, dead):
+        entries = []  # (base, child entry, members, canonical index) per ballot
+        m1 = -1  # the largest worst key so far
+        for k, (members, base, idx) in enumerate(ballots):
+            if bound + base < m1:
+                # Threat bound: bases only fall from here on, so no outcome
+                # of this or any later ballot can reach m1.
+                self._bound_skips += len(ballots) - k
+                break
             s = list(scores)
             for a in members:
                 s[a] += 1
             child = search(i + 1, tuple(s))
-            worst = (min(levels[w] for w in child[0]), -gcnt, f)
-            entries.append((worst, child, members))
-        winners = self._combine(levels, entries)
+            worst = min([levels[w] for w in child[0]]) + base
+            if worst > m1:
+                m1 = worst
+            entries.append((base, child, members, idx))
+        winners = self._combine(levels, entries, m1)
         if self._policy is None:
             entry = (winners, None, None)
         else:
@@ -382,7 +448,33 @@ class Solver:
             self._memo[key] = entry
         return entry
 
-    def _combine(self, levels: list[int], entries) -> frozenset[int]:
+    def _settled(self, x: int, dead: int, leader: int):
+        """Entry of a quiescent state, where no voter still to move confirms
+        a live agent: the leader wins every SPE.
+
+        By backward induction, a vote for a live agent costs the voter -g
+        and can only elect someone it values at level 0, and a vote for a
+        dead agent changes no winner.  Under a policy the mover casts what
+        :meth:`_choose` would pick: the first ballot, in canonical order,
+        maximizing ``(-g, f)``, and ``bias_toward(t)`` prefers one
+        approving ``t`` among those.  The visit order lists those ballots
+        first, in canonical order.
+        """
+        if self._policy is None:
+            return self._terminal[leader]
+        ballots = self._ballots_at(x, dead)
+        pick = ballots[0]
+        target = self._policy.target
+        if target is not None:
+            for e in ballots:
+                if e[1] != pick[1]:
+                    break
+                if target in e[0]:
+                    pick = e
+                    break
+        return (self._terminal[leader][0], leader, pick[0])
+
+    def _combine(self, levels: list[int], entries, m1: int) -> frozenset[int]:
         """Union of sustainable outcomes at a node.
 
         Outcome ``w`` of ballot ``b`` is sustainable when the mover weakly
@@ -390,11 +482,11 @@ class Solver:
         worst key ``m1`` can serve as the threshold for every ballot, its own
         included: every ``w`` in ``C_b`` has key at least ``b``'s worst key.
         """
-        m1 = max(e[0] for e in entries)
         winners: set[int] = set()
-        for (_level, ng, f), child, _members in entries:
+        for base, child, _members, _idx in entries:
+            floor = m1 - base
             for w in child[0]:
-                if (levels[w], ng, f) >= m1:
+                if levels[w] >= floor:
                     winners.add(w)
         return frozenset(winners)
 
@@ -405,8 +497,8 @@ class Solver:
         the tied ones."""
         target = self._policy.target
         best = None
-        for (_level, ng, f), child, members in entries:
-            rank = (levels[child[1]], ng, f, target in members)
+        for base, child, members, idx in entries:
+            rank = (levels[child[1]] + base, target in members, -idx)
             if best is None or rank > best[0]:
                 best = (rank, child[1], members)
         return best[1], best[2]

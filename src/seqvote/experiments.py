@@ -28,6 +28,7 @@ from .families import InstanceSpec, RandomSpec, gen_paper_instance, gen_random
 from .network import ConfirmationNetwork
 
 RECORD_VERSION = 1
+RECORD_STATUSES = ("ok", "budget_exceeded", "error")
 
 
 class RecordError(ValueError):
@@ -194,7 +195,7 @@ class RunRecord:
     instance: dict
     graph: dict
     rule: dict
-    status: str  # "ok" | "budget_exceeded" | "error"
+    status: str  # one of RECORD_STATUSES
     metrics: InstanceMetrics | None
     verdicts: dict
     stats: dict
@@ -243,9 +244,20 @@ class RunRecord:
                 )
             except (KeyError, TypeError) as exc:
                 raise RecordError(f"malformed metrics block: {exc}") from exc
-        for field in ("verdicts", "stats"):
+        for field in ("instance", "verdicts", "stats"):
             if not isinstance(data.get(field, {}), dict):
                 raise RecordError(f"record field {field!r} must be a JSON object")
+        if "status" in data and data["status"] not in RECORD_STATUSES:
+            raise RecordError(
+                f"record field 'status' must be one of {', '.join(RECORD_STATUSES)}, "
+                f"got {data['status']!r:.40}"
+            )
+        for name, ok in data.get("verdicts", {}).items():
+            if not isinstance(ok, bool):
+                raise RecordError(f"record field 'verdicts.{name}' must be true or false")
+        wall = data.get("stats", {}).get("wall_seconds", 0.0)
+        if isinstance(wall, bool) or not isinstance(wall, (int, float)):
+            raise RecordError("record field 'stats.wall_seconds' must be a number")
         try:
             return RunRecord(
                 instance=data["instance"],

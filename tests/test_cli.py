@@ -90,7 +90,10 @@ def test_solve_builds_one_solver_and_reports_its_search(tmp_path, monkeypatch):
     doc = json.loads(result.stdout)
     assert len(built) == 1
     assert doc["policy_winner"] in doc["winners"]
-    assert doc["stats"]["nodes"] == reference.last_stats.nodes
+    assert doc["stats"] == {
+        **reference.last_stats.as_dict(),
+        "wall_seconds": doc["stats"]["wall_seconds"],
+    }
 
 
 def test_solve_with_bias_policy(tmp_path):
@@ -182,13 +185,18 @@ def test_metrics_bad_spec_line_exits_1(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command,edit",
+    "command,edit,field",
     [
-        ("metrics", lambda doc: [1, 2]),
-        ("report", lambda doc: {**doc, "rule": {"kind": "k_approval", "cap": "x"}}),
-        ("report", lambda doc: {**doc, "stats": [1]}),
-        ("report", lambda doc: {**doc, "verdicts": []}),
-        ("report", lambda doc: {**doc, "metrics": {**doc["metrics"], "r_max": [1, 0]}}),
+        ("metrics", lambda doc: [1, 2], None),
+        ("report", lambda doc: {**doc, "rule": {"kind": "k_approval", "cap": "x"}}, None),
+        ("report", lambda doc: {**doc, "stats": [1]}, "'stats'"),
+        ("report", lambda doc: {**doc, "verdicts": []}, "'verdicts'"),
+        ("report", lambda doc: {**doc, "metrics": {**doc["metrics"], "r_max": [1, 0]}}, None),
+        ("report", lambda doc: {**doc, "status": []}, "'status'"),
+        ("report", lambda doc: {**doc, "instance": 5}, "'instance'"),
+        ("report", lambda doc: {**doc, "verdicts": {"a": "x"}}, "'verdicts.a'"),
+        ("report", lambda doc: {**doc, "stats": {**doc["stats"], "wall_seconds": "x"}},
+         "'stats.wall_seconds'"),
     ],
     ids=[
         "spec-not-an-object",
@@ -196,11 +204,16 @@ def test_metrics_bad_spec_line_exits_1(tmp_path):
         "stats-not-an-object",
         "verdicts-not-an-object",
         "ratio-zero-denominator",
+        "status-not-a-status",
+        "instance-not-an-object",
+        "verdict-not-a-bool",
+        "wall-seconds-not-a-number",
     ],
 )
-def test_malformed_input_line_exits_1_without_traceback(tmp_path, command, edit):
+def test_malformed_input_line_exits_1_without_traceback(tmp_path, command, edit, field):
     """Each line is JSON that a well-formed record (or spec) line could be
-    edited into; it must be rejected where it is parsed."""
+    edited into; it must be rejected where it is parsed, and a record's error
+    names the field at fault."""
     doc = run_one(InstanceSpec("example2"), PLURALITY).as_dict()
     path = tmp_path / "in.jsonl"
     path.write_text(json.dumps(edit(doc)) + "\n")
@@ -211,6 +224,8 @@ def test_malformed_input_line_exits_1_without_traceback(tmp_path, command, edit)
     assert result.returncode == 1
     assert result.stderr.startswith("error:"), result.stderr
     assert "Traceback" not in result.stderr
+    if field is not None:
+        assert field in result.stderr, result.stderr
 
 
 def test_k_approval_requires_k(tmp_path):

@@ -91,6 +91,15 @@ def test_memo_and_pruning_do_not_change_results():
                 winners = solver.achievable_winners()
                 results.add((winners, spe.winners, spe.winner, tuple(spe.path)))
         assert len(results) == 1
+    # the pruning counters: both rules fire on plurality_chain(3), neither
+    # without pruning
+    g = gen_paper_instance(InstanceSpec("plurality_chain", 3))
+    pruned, plain = Solver(g, PLURALITY), Solver(g, PLURALITY, use_pruning=False)
+    assert pruned.achievable_winners() == plain.achievable_winners()
+    stats = pruned.last_stats.as_dict()
+    assert stats["quiescent"] > 0 and stats["bound_skips"] > 0
+    stats = plain.last_stats.as_dict()
+    assert stats["quiescent"] == 0 and stats["bound_skips"] == 0
 
 
 def test_naive_oracle_refuses_oversized_games():
@@ -198,6 +207,19 @@ def test_time_budget_exceeded():
     g = gen_random(RandomSpec(n=8, p=0.5, max_out=None, seed=45))
     with pytest.raises(BudgetExceededError):
         Solver(g, APPROVAL, budget=Budget(max_seconds=0.05)).achievable_winners()
+
+
+def test_memo_off_path_walk_stays_within_the_search_budget():
+    """The path walk of a memo-off policy search searches the path's
+    subgames again; that is not part of the budgeted search."""
+    g = example1()
+    probe = Solver(g, PLURALITY, use_memo=False)
+    expected = probe.policy_spe(Policy.canonical())
+    nodes = probe.last_stats.nodes
+    s = Solver(g, PLURALITY, use_memo=False, budget=Budget(max_nodes=nodes))
+    spe = s.policy_spe(Policy.canonical())
+    assert (spe.winner, spe.path) == (expected.winner, expected.path)
+    assert s.last_stats.nodes == nodes
 
 
 # -- the low-out-degree guarantee ------------------------------------------------
