@@ -35,10 +35,19 @@ Exact cuts (``use_pruning``), none of which changes a result:
   ``m1`` is the largest worst key seen so far; once a ballot's bound falls
   below ``m1`` so do all later ones, and none of them can add a winner, be
   the threshold, or be a policy's choice.
+
+The inner loop works on ints.  A state is one int, ``i * 256**n +
+sum(scores[a] * 256**a)``, and a ballot adds a fixed delta to it (an
+incremental key, after Zobrist 1970).  The memo is probed with this raw key
+before dead agents are found; on a miss, with the canonical key, which sets
+all bits of each dead agent's digit, and the raw key is stored as an alias
+of the canonical entry.  Winner sets are bitmasks, turned into frozensets
+only when a call returns.
 """
 
 from __future__ import annotations
 
+import struct
 import time
 from dataclasses import dataclass
 from operator import itemgetter
@@ -48,7 +57,6 @@ from .balloting import winner as score_winner
 from .network import ConfirmationNetwork
 from .preferences import assess, outcome_level
 
-_DEAD_SENTINEL = -1
 _TIME_CHECK_MASK = 0x3FF  # check the wall clock every 1024 nodes
 
 
@@ -86,6 +94,7 @@ class SolveStats:
     wall_seconds: float = 0.0
     quiescent: int = 0  # quiescent-suffix shortcuts taken
     bound_skips: int = 0  # ballots the threat bound skipped
+    memo_aliases: int = 0  # raw state keys stored next to canonical entries
 
     def as_dict(self) -> dict:
         return {
@@ -95,6 +104,7 @@ class SolveStats:
             "wall_seconds": self.wall_seconds,
             "quiescent": self.quiescent,
             "bound_skips": self.bound_skips,
+            "memo_aliases": self.memo_aliases,
         }
 
 
@@ -153,6 +163,11 @@ class Solver:
     and ballot lists, the quiescent-suffix shortcut and the threat bound.
     With it off the search is the plain recursion over every legal ballot in
     canonical order.
+
+    The memo also keeps raw state keys as aliases of canonical entries.  A
+    hit on an alias is a memo hit and a node, as a canonical hit is, so
+    counters and budgets are those of a memo without aliases; ``cache_size``
+    counts canonical entries and ``memo_aliases`` the raw keys stored.
     """
 
     def __init__(
@@ -173,7 +188,6 @@ class Solver:
         n = g.n
         self.n = n
         self._order = g.voting_order
-        self._tb = g.tiebreak_order
         # Preference keys (level, -g, f) packed into ints that compare the
         # same way: level * unit + base, with base = (n - g) * (n + 1) + f.
         radix = n + 1
@@ -183,14 +197,25 @@ class Solver:
         ]
         self._unit = unit
         self._no_bound = 3 * unit  # above every key: the bound never fires
+        # A state (i, scores) packs into i * R**n + sum(scores[a] * R**a),
+        # R = 2**bits: a byte per digit unless n > 254.  Digits never
+        # exceed n < R - 1, so R - 1 serves as the dead-agent digit.
+        bits, code = (8, "B") if n < 255 else (16, "H") if n < 65535 else (32, "I")
+        self._digits = struct.Struct(f"<{n}{code}")  # unpacks the score digits
+        self._nbytes = (n + 1) * bits // 8
+        self._pows = [1 << bits * a for a in range(n)]
+        self._istep = 1 << bits * n
+        self._fills = [((1 << bits) - 1) * w for w in self._pows]
         # Full canonical ballot lists per voter: (members, base, canonical
-        # index).
-        self._full_ballots: list[list[tuple[tuple[int, ...], int, int]]] = []
+        # index, key delta from a state to its child).
+        self._full_ballots: list[list[tuple[tuple[int, ...], int, int, int]]] = []
         for x in range(n):
             entries = []
             for idx, b in enumerate(legal_ballots(rule, x, n)):
                 f, gcnt = assess(g, x, b)
-                entries.append((tuple(sorted(b)), (n - gcnt) * radix + f, idx))
+                members = tuple(sorted(b))
+                delta = self._istep + sum(self._pows[a] for a in members)
+                entries.append((members, (n - gcnt) * radix + f, idx, delta))
             self._full_ballots.append(entries)
         # Pruned searches visit ballots best bonus first (g ascending, f
         # descending), canonical order among equals; the threat bound needs it.
@@ -202,10 +227,10 @@ class Solver:
         self._bits = [1 << a for a in range(n)]
         self._all = (1 << n) - 1
         self._conf_mask = [sum(1 << a for a in g.out_neighbors[x]) for x in range(n)]
-        # Dead agents a voter does not confirm: approving one is dominated.
-        self._droppable = [
-            self._all & ~self._conf_mask[x] & ~(1 << x) for x in range(n)
-        ]
+        # Agents at level 0 for x: approving a dead one is dominated.
+        self._unconf = [self._all & ~self._conf_mask[x] & ~(1 << x) for x in range(n)]
+        # at_least[x][k]: agents at level k or more for x.
+        self._at_least = [(self._all, c | 1 << x, 1 << x, 0) for x, c in enumerate(self._conf_mask)]
         # later_conf[i]: agents confirmed by some voter of order[i:].
         self._later_conf = [0] * (n + 1)
         for i in range(n - 1, -1, -1):
@@ -226,7 +251,7 @@ class Solver:
             for i in range(n + 1)
         ]
         # Memo entries of terminal states, one per winner.
-        self._terminal = [(frozenset((w,)), w, None) for w in range(n)]
+        self._terminal = [(1 << w, w, None) for w in range(n)]
         self._memo: dict = {}
         self._policy: Policy | None = None
         self.last_stats = SolveStats()
@@ -241,6 +266,7 @@ class Solver:
         self._hits = 0
         self._quiescent = 0
         self._bound_skips = 0
+        self._aliases = 0
         self._max_nodes = self.budget.max_nodes
         self._t0 = time.monotonic()
         max_s = self.budget.max_seconds
@@ -250,10 +276,11 @@ class Solver:
         return SolveStats(
             nodes=self._nodes,
             cache_hits=self._hits,
-            cache_size=len(self._memo),
+            cache_size=len(self._memo) - self._aliases,
             wall_seconds=time.monotonic() - self._t0,
             quiescent=self._quiescent,
             bound_skips=self._bound_skips,
+            memo_aliases=self._aliases,
         )
 
     def _tick(self) -> None:
@@ -269,9 +296,21 @@ class Solver:
                     f"time budget of {self.budget.max_seconds}s exceeded", self._stats()
                 )
 
-    # -- dead agents and memo keys --------------------------------------------
+    # -- packed states, dead agents and memo keys -------------------------------
 
-    def _dead(self, i: int, scores: tuple[int, ...]) -> tuple[int, int]:
+    def _pack(self, state: SubgameState) -> int:
+        return state.i * self._istep + sum(s * w for s, w in zip(state.scores, self._pows))
+
+    def _scores(self, p: int):
+        """The score digits of packed state ``p``, agent by agent."""
+        return self._digits.unpack_from(p.to_bytes(self._nbytes, "little"))
+
+    def _leader(self, p: int) -> int:
+        """``winner(scores)``: most votes, ties to the earliest in tie-break order."""
+        n = self.n
+        return self._leader_of[max([s * n + t for s, t in zip(self._scores(p), self._tb_key)]) % n]
+
+    def _dead(self, i: int, p: int) -> tuple[int, int]:
         """The bitmask of agents that can no longer win, and the leader.
 
         The leader is ``winner(scores)``.  ``z`` is dead when, given every
@@ -280,6 +319,7 @@ class Solver:
         monotone along play and depends only on live agents' scores.
         """
         n = self.n
+        scores = self._scores(p)
         lead = max([s * n + t for s, t in zip(scores, self._tb_key)])
         dead = 0
         for s, reach, bit in zip(scores, self._reach_key[i], self._bits):
@@ -287,14 +327,15 @@ class Solver:
                 dead |= bit
         return dead, self._leader_of[lead % n]
 
-    def _canon(self, scores: tuple[int, ...], dead: int) -> tuple[int, ...]:
-        if not dead:
-            return scores
-        return tuple(
-            [_DEAD_SENTINEL if dead & bit else s for s, bit in zip(scores, self._bits)]
-        )
+    def _canon(self, p: int, dead: int) -> int:
+        """The canonical memo key: every bit of each dead agent's digit set,
+        a value no score reaches."""
+        for bit, fill in zip(self._bits, self._fills):
+            if dead & bit:
+                p |= fill
+        return p
 
-    def _ballots_at(self, x: int, dead: int) -> list[tuple[tuple[int, ...], int, int]]:
+    def _ballots_at(self, x: int, dead: int) -> list[tuple[tuple[int, ...], int, int, int]]:
         """Legal ballots for mover ``x`` in visit order, dominated ones pruned.
 
         A ballot approving a dead agent the mover does not confirm is
@@ -302,7 +343,7 @@ class Solver:
         winner-bisimilar and the larger ballot pays a strictly worse bonus.
         Filtering the visit-ordered list keeps its order.
         """
-        banned = dead & self._droppable[x]
+        banned = dead & self._unconf[x]
         if not banned:
             return self._visit_order[x]
         cache_key = (x, banned)
@@ -312,13 +353,6 @@ class Solver:
             cached = [e for e in self._visit_order[x] if ban.isdisjoint(e[0])]
             self._ballot_cache[cache_key] = cached
         return cached
-
-    def _winner(self, scores: tuple[int, ...]) -> int:
-        top = max(scores)
-        for a in self._tb:
-            if scores[a] == top:
-                return a
-        raise AssertionError("unreachable")
 
     # -- the search ------------------------------------------------------------
 
@@ -346,10 +380,11 @@ class Solver:
         state.validate(self.n)
         self._start(policy)
         try:
-            entry = self._search(state.i, state.scores)
+            mask, winner, ballot = self._search(state.i, self._pack(state))
         finally:
             self.last_stats = self._stats()
-        return entry if policy is not None else (entry[0], None, None)
+        winners = frozenset(a for a in range(self.n) if mask >> a & 1)
+        return (winners, winner, ballot) if policy is not None else (winners, None, None)
 
     def achievable_winners(self, state: SubgameState | None = None) -> frozenset[int]:
         """Exactly the agents elected in at least one SPE of the (sub)game."""
@@ -368,84 +403,90 @@ class Solver:
         # outside that search's budget.
         self._max_nodes = self._deadline = None
         path = []
-        i, scores = state.i, state.scores
+        i, p = state.i, self._pack(state)
         while i < self.n:
-            members = self._visited(i, scores)[2]
+            members = self._visited(i, p)[2]
             path.append(frozenset(members))
-            s = list(scores)
-            for a in members:
-                s[a] += 1
-            scores = tuple(s)
+            p += self._istep + sum(self._pows[a] for a in members)
             i += 1
         return PolicyResult(path=path, winner=winner, winners=winners)
 
-    def _visited(self, i: int, scores: tuple[int, ...]):
+    def _visited(self, i: int, p: int):
         """Entry of a state on the selected path: from the memo, or rebuilt
         where the search left none (a quiescent shortcut, or no memo)."""
         dead = 0
         if self.use_pruning:
-            dead, leader = self._dead(i, scores)
+            dead, leader = self._dead(i, p)
             if not (self._all ^ dead) & self._later_conf[i]:
                 return self._settled(self._order[i], dead, leader)
         if self.use_memo:
-            return self._memo[(i, self._canon(scores, dead))]
-        return self._search(i, scores)
+            return self._memo[self._canon(p, dead)]
+        return self._search(i, p)
 
-    def _search(self, i: int, scores: tuple[int, ...]):
+    def _search(self, i: int, p: int):
+        """Entry of state ``p``; the caller has missed on its raw key."""
         if i == self.n:
-            return self._terminal[self._winner(scores)]
+            return self._terminal[self._leader(p)]
         self._tick()
+        memo = self._memo
         x = self._order[i]
-        dead = 0
+        key = p
         if self.use_pruning:
-            dead, leader = self._dead(i, scores)
+            dead, leader = self._dead(i, p)
             live = self._all ^ dead
             if not live & self._later_conf[i]:
                 self._quiescent += 1
                 return self._settled(x, dead, leader)
-        if self.use_memo:
-            key = (i, self._canon(scores, dead))
-            hit = self._memo.get(key)
-            if hit is not None:
-                self._hits += 1
-                return hit
-        levels = self._level[x]
-        if self.use_pruning:
+            if dead and self.use_memo:
+                key = self._canon(p, dead)
+                hit = memo.get(key)
+                if hit is not None:
+                    self._hits += 1
+                    self._aliases += 1
+                    memo[p] = hit
+                    return hit
             ballots = self._ballots_at(x, dead)
             # The mover's best level over live agents: no ballot reaches more.
-            if live >> x & 1:
-                bound = levels[x]
-            elif live & self._conf_mask[x]:
-                bound = self._unit
-            else:
-                bound = 0
+            bound = self._unit * (2 if live >> x & 1 else 1 if live & self._conf_mask[x] else 0)
         else:
             ballots = self._full_ballots[x]
             bound = self._no_bound
+        unit = self._unit
+        low = self._unconf[x]
+        conf = self._conf_mask[x]
         search = self._search
-        entries = []  # (base, child entry, members, canonical index) per ballot
+        lookup = memo.get  # the memo stays empty when it is off
+        children = []  # child entries of the visited ballots, a prefix
         m1 = -1  # the largest worst key so far
-        for k, (members, base, idx) in enumerate(ballots):
+        for k, (members, base, idx, delta) in enumerate(ballots):
             if bound + base < m1:
                 # Threat bound: bases only fall from here on, so no outcome
                 # of this or any later ballot can reach m1.
                 self._bound_skips += len(ballots) - k
                 break
-            s = list(scores)
-            for a in members:
-                s[a] += 1
-            child = search(i + 1, tuple(s))
-            worst = min([levels[w] for w in child[0]]) + base
+            q = p + delta
+            child = lookup(q)
+            if child is None:
+                child = search(i + 1, q)
+            else:  # a raw-key hit is a node and a memo hit
+                self._tick()
+                self._hits += 1
+            # The mover's worst key over the child's winners.
+            mask = child[0]
+            worst = base + (0 if mask & low else unit if mask & conf else 2 * unit)
             if worst > m1:
                 m1 = worst
-            entries.append((base, child, members, idx))
-        winners = self._combine(levels, entries, m1)
+            children.append(child)
+        winners = self._combine(x, ballots, children, m1)
         if self._policy is None:
             entry = (winners, None, None)
         else:
-            entry = (winners, *self._choose(levels, entries))
+            entry = (winners, *self._choose(self._level[x], ballots, children))
         if self.use_memo:
-            self._memo[key] = entry
+            memo[key] = entry
+            if key != p:
+                self._aliases += 1
+                memo[p] = entry
         return entry
 
     def _settled(self, x: int, dead: int, leader: int):
@@ -472,32 +513,33 @@ class Solver:
                 if target in e[0]:
                     pick = e
                     break
-        return (self._terminal[leader][0], leader, pick[0])
+        return (1 << leader, leader, pick[0])
 
-    def _combine(self, levels: list[int], entries, m1: int) -> frozenset[int]:
-        """Union of sustainable outcomes at a node.
+    def _combine(self, x: int, ballots, children, m1: int) -> int:
+        """Union of sustainable outcomes at a node, as a bitmask.
 
         Outcome ``w`` of ballot ``b`` is sustainable when the mover weakly
         prefers it to the worst outcome of every other ballot.  The largest
         worst key ``m1`` can serve as the threshold for every ballot, its own
         included: every ``w`` in ``C_b`` has key at least ``b``'s worst key.
+        So ``b`` contributes its winners whose level is at least
+        ``ceil((m1 - base) / unit)``, which lies in 0..3.
         """
-        winners: set[int] = set()
-        for base, child, _members, _idx in entries:
-            floor = m1 - base
-            for w in child[0]:
-                if levels[w] >= floor:
-                    winners.add(w)
-        return frozenset(winners)
+        at_least = self._at_least[x]
+        unit = self._unit
+        winners = 0
+        for (_members, base, _idx, _delta), child in zip(ballots, children):
+            winners |= child[0] & at_least[(m1 - base + unit - 1) // unit]
+        return winners
 
-    def _choose(self, levels: list[int], entries) -> tuple[int, tuple[int, ...]]:
+    def _choose(self, levels: list[int], ballots, children) -> tuple[int, tuple[int, ...]]:
         """The policy's winner and ballot at a node: the first ballot, in
         canonical order, maximizing the mover's key at the child's policy
         winner; ``bias_toward(t)`` prefers a ballot approving ``t`` among
         the tied ones."""
         target = self._policy.target
         best = None
-        for base, child, members, idx in entries:
+        for (members, base, idx, _delta), child in zip(ballots, children):
             rank = (levels[child[1]] + base, target in members, -idx)
             if best is None or rank > best[0]:
                 best = (rank, child[1], members)

@@ -102,6 +102,26 @@ def test_memo_and_pruning_do_not_change_results():
     assert stats["quiescent"] == 0 and stats["bound_skips"] == 0
 
 
+@pytest.mark.parametrize(
+    "name,k,rule,policy,expected",
+    [
+        ("plurality_chain", 4, PLURALITY, None, (4432, 496, 432, 3504, 321)),
+        ("h_k", 2, APPROVAL, Policy.canonical(), (294514, 180292, 9165, 105057, 102967)),
+        ("kapproval_chain", 2, k_approval(2), None, (31102, 1190, 774, 29138, 4503)),
+    ],
+    ids=["plurality_chain(4)", "h_k(2)-approval-canonical", "kapproval_chain(2)-2-approval"],
+)
+def test_searched_tree_is_pinned(name, k, rule, policy, expected):
+    """The search's counters on three catalog games.  A change to the search
+    core that speeds it up without changing the tree it searches keeps them;
+    one that changes the tree must say so here."""
+    solver = Solver(gen_paper_instance(InstanceSpec(name, k)), rule)
+    solver.solve(policy=policy)
+    stats = solver.last_stats.as_dict()
+    keys = ("nodes", "cache_hits", "cache_size", "quiescent", "bound_skips")
+    assert {key: stats[key] for key in keys} == dict(zip(keys, expected))
+
+
 def test_naive_oracle_refuses_oversized_games():
     g = gen_random(RandomSpec(n=9, p=0.3, max_out=None, seed=1))
     with pytest.raises(NaiveSizeError):
