@@ -82,8 +82,18 @@ def initial_state(n: int) -> SubgameState:
 
 @dataclass(frozen=True)
 class Budget:
+    """Per-call search limits; None is no limit, and ``max_nodes=0`` stops at
+    the first node."""
+
     max_nodes: int | None = None
     max_seconds: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.max_nodes is not None and self.max_nodes < 0:
+            raise ValueError(f"max_nodes must be >= 0, got {self.max_nodes}")
+        # NaN fails every comparison, so it fails this one too.
+        if self.max_seconds is not None and not self.max_seconds >= 0:
+            raise ValueError(f"max_seconds must be >= 0, got {self.max_seconds}")
 
 
 @dataclass
@@ -555,6 +565,12 @@ def naive_achievable_winners(
 ) -> frozenset[int]:
     """Reference oracle: direct extensive-form recursion, no memo, no pruning.
 
+    It walks the full game tree, every legal ballot at every node, and gives
+    each ballot the threshold of the best worst key among all the others.
+    The per-voter constants are built once per call, before the walk: each
+    depth's legal ballots with their ``(-g, f)`` key parts, and the mover's
+    row of outcome levels.  Nothing is shared with :class:`Solver`.
+
     Enforces a hard size limit on the full game tree (roughly n <= 6 for
     plurality, n <= 4 for approval) so it can never silently take forever.
     """
@@ -562,30 +578,35 @@ def naive_achievable_winners(
     tb = g.tiebreak_order
     order = g.voting_order
     leaves = 1
-    for v in order:
-        leaves *= len(legal_ballots(rule, v, n))
+    tables = []  # per depth: the mover's outcome levels, its ballots with (-g, f)
+    for x in order:
+        ballots = legal_ballots(rule, x, n)
+        leaves *= len(ballots)
         if leaves > max_leaves:
             raise NaiveSizeError(
                 f"game tree exceeds the naive-solver limit of {max_leaves} leaves"
             )
+        keyed = []
+        for b in ballots:
+            f, gcnt = assess(g, x, b)
+            keyed.append((b, -gcnt, f))
+        tables.append(([outcome_level(g, x, w) for w in range(n)], keyed))
 
     def recurse(i: int, scores: tuple[int, ...]) -> set[int]:
         if i == n:
             return {score_winner(scores, tb)}
-        x = order[i]
+        levels, ballots = tables[i]
         options = []
-        for b in legal_ballots(rule, x, n):
+        for b, neg_g, f in ballots:
             child = recurse(i + 1, apply_ballot(scores, b))
-            f, gcnt = assess(g, x, b)
-            worst = min((outcome_level(g, x, w), -gcnt, f) for w in child)
-            options.append((child, f, gcnt, worst))
+            worst = min((levels[w], neg_g, f) for w in child)
+            options.append((child, neg_g, f, worst))
         winners: set[int] = set()
-        for idx, (child, f, gcnt, _worst) in enumerate(options):
+        for idx, (child, neg_g, f, _worst) in enumerate(options):
             threats = [o[3] for j, o in enumerate(options) if j != idx]
             threshold = max(threats) if threats else None
             for w in child:
-                k = (outcome_level(g, x, w), -gcnt, f)
-                if threshold is None or k >= threshold:
+                if threshold is None or (levels[w], neg_g, f) >= threshold:
                     winners.add(w)
         return winners
 

@@ -9,6 +9,7 @@ in-process.
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -17,9 +18,10 @@ from seqvote import cli, network
 from seqvote.balloting import PLURALITY
 from seqvote.engine import Policy, Solver
 from seqvote.experiments import run_one
-from seqvote.families import InstanceSpec
+from seqvote.families import InstanceSpec, gen_paper_instance
 
 CMD = [sys.executable, "-m", "seqvote.cli"]
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def run_cli(*args, env=None):
@@ -147,6 +149,31 @@ def test_budget_env_var_applies(tmp_path):
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "metrics"])
+@pytest.mark.parametrize(
+    "flags,env,field",
+    [
+        (["--max-nodes", "-1"], None, "max_nodes"),
+        (["--max-seconds", "-1"], None, "max_seconds"),
+        (["--max-seconds", "nan"], None, "max_seconds"),
+        ([], {"SEQVOTE_BUDGET_SECONDS": "-5"}, "max_seconds"),
+        ([], {"SEQVOTE_BUDGET_SECONDS": "nan"}, "max_seconds"),
+    ],
+    ids=["max-nodes-negative", "max-seconds-negative", "max-seconds-nan",
+         "env-seconds-negative", "env-seconds-nan"],
+)
+def test_bad_budget_exits_1(tmp_path, command, flags, env, field):
+    """A budget no search can honour is bad input, rejected before any
+    search starts; it is not a budget hit, nor a budget that never fires."""
+    graph = tmp_path / "g.json"
+    graph.write_text(network.serialize(gen_paper_instance(InstanceSpec("example2"))))
+    where = ["--graph", str(graph)] if command == "solve" else ["--in", str(tmp_path)]
+    result = run_cli(command, *where, "--rule", "plurality", *flags, env=env)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:") and field in result.stderr, result.stderr
+    assert result.stdout == ""
+
+
 def test_metrics_over_directory_then_report(tmp_path):
     for name in ("example1", "example2"):
         run_cli("family", "--name", name, "--out", str(tmp_path / f"{name}.json"))
@@ -245,3 +272,14 @@ def test_identical_invocations_identical_bytes(tmp_path):
     da, db = json.loads(a.stdout), json.loads(b.stdout)
     da.pop("stats"), db.pop("stats")
     assert da == db
+
+
+def test_perfbench_checker_accepts_solve_output():
+    """perfbench's selftest runs ``seqvote family`` and ``seqvote solve`` and
+    feeds the output to the benchmark's checker: a change to the solve
+    document that the checker can no longer read fails here."""
+    result = subprocess.run(
+        [sys.executable, str(PERFBENCH / "selftest.py")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr

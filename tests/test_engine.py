@@ -1,4 +1,6 @@
+import importlib
 import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -16,8 +18,10 @@ from seqvote.engine import (
     naive_achievable_winners,
 )
 from seqvote.families import InstanceSpec, RandomSpec, gen_paper_instance, gen_random
-from seqvote.network import ConfirmationNetwork
-from seqvote.verify import low_outdegree_verdict
+from seqvote.network import ConfirmationNetwork, to_json_dict
+from seqvote.verify import low_outdegree_verdict, oracle_specs
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def example1():
@@ -120,6 +124,36 @@ def test_searched_tree_is_pinned(name, k, rule, policy, expected):
     stats = solver.last_stats.as_dict()
     keys = ("nodes", "cache_hits", "cache_size", "quiescent", "bound_skips")
     assert {key: stats[key] for key in keys} == dict(zip(keys, expected))
+
+
+def test_naive_oracle_pins_the_papers_examples():
+    """The oracle gives the sets that test_example1_winners and
+    test_example2_winners pin for the solver."""
+    for g, rule, expected in (
+        (example1(), PLURALITY, {"1"}),
+        (example2(), PLURALITY, {"3"}),
+        (example2(), APPROVAL, {"4"}),
+    ):
+        assert {g.names[w] for w in naive_achievable_winners(g, rule)} == expected
+
+
+def test_naive_oracle_matches_an_independent_brute_force(monkeypatch):
+    """The oracle and the solver share legal_ballots, assess and
+    outcome_level, so comparing one with the other cannot catch a fault in
+    those.  perfbench's checker imports nothing from seqvote and builds its
+    ballots and utilities on its own."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    checker = importlib.import_module("checker")
+    mismatches = []
+    for spec, rule in oracle_specs():
+        g = gen_random(spec)
+        brute = checker.brute_force_winners(
+            checker.Graph(to_json_dict(g)), rule.ballot_cap(g.n)
+        )
+        oracle = naive_achievable_winners(g, rule)
+        if brute != set(oracle):
+            mismatches.append((spec.seed, rule.label(), brute, sorted(oracle)))
+    assert not mismatches, mismatches[:5]
 
 
 def test_naive_oracle_refuses_oversized_games():
@@ -227,6 +261,28 @@ def test_time_budget_exceeded():
     g = gen_random(RandomSpec(n=8, p=0.5, max_out=None, seed=45))
     with pytest.raises(BudgetExceededError):
         Solver(g, APPROVAL, budget=Budget(max_seconds=0.05)).achievable_winners()
+
+
+@pytest.mark.parametrize(
+    "kwargs,field",
+    [
+        ({"max_nodes": -1}, "max_nodes"),
+        ({"max_seconds": -1.0}, "max_seconds"),
+        ({"max_seconds": float("nan")}, "max_seconds"),
+    ],
+    ids=["negative-nodes", "negative-seconds", "nan-seconds"],
+)
+def test_budget_rejects_negative_and_nan_limits(kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        Budget(**kwargs)
+
+
+def test_zero_nodes_and_infinite_seconds_keep_their_meaning():
+    g = example2()
+    with pytest.raises(BudgetExceededError):
+        Solver(g, PLURALITY, budget=Budget(max_nodes=0)).achievable_winners()
+    solver = Solver(g, PLURALITY, budget=Budget(max_seconds=float("inf")))
+    assert solver.achievable_winners() == winners_of(g, PLURALITY)
 
 
 def test_memo_off_path_walk_stays_within_the_search_budget():
