@@ -26,8 +26,10 @@ Exact cuts (``use_pruning``), none of which changes a result:
   current leader wins every SPE of the subgame: by backward induction, a
   vote for a live agent costs its voter -g and can only elect someone that
   voter values at level 0, and a vote for a dead agent changes no winner.
-  The search stops there; the policy path's suffix ballots are rebuilt on
-  demand.
+  A quiescent child is settled at its parent, from the parent's own scores,
+  without a call of its own: its entry depends only on its mover and leader
+  and comes from a per-call table.  Quiescent states are never stored, and
+  the policy path's suffix ballots are read from the same table.
 - Threat bound, the set-valued form of alpha-beta pruning (Knuth & Moore,
   1975).  Only live agents can win, so no outcome of ballot ``b`` has a key
   above ``(L, -g_b, f_b)``, where ``L`` is the mover's best level over live
@@ -57,7 +59,7 @@ from .balloting import winner as score_winner
 from .network import ConfirmationNetwork
 from .preferences import assess, outcome_level
 
-_TIME_CHECK_MASK = 0x3FF  # check the wall clock every 1024 nodes
+_TIME_CHECK_MASK = 0x3FF  # check the wall clock on node 1, then every 1024 nodes
 
 
 @dataclass(frozen=True)
@@ -82,8 +84,8 @@ def initial_state(n: int) -> SubgameState:
 
 @dataclass(frozen=True)
 class Budget:
-    """Per-call search limits; None is no limit, and ``max_nodes=0`` stops at
-    the first node."""
+    """Per-call search limits; None is no limit, and ``max_nodes=0`` or
+    ``max_seconds=0`` stops at the first node."""
 
     max_nodes: int | None = None
     max_seconds: float | None = None
@@ -174,6 +176,10 @@ class Solver:
     With it off the search is the plain recursion over every legal ballot in
     canonical order.
 
+    A quiescent state is a node and counts in ``quiescent`` wherever it is
+    met, though only a call's root is settled by a call of its own: the
+    others are settled at their parent.  A terminal state is not a node.
+
     The memo also keeps raw state keys as aliases of canonical entries.  A
     hit on an alias is a memo hit and a node, as a canonical hit is, so
     counters and budgets are those of a memo without aliases; ``cache_size``
@@ -246,8 +252,8 @@ class Solver:
         for i in range(n - 1, -1, -1):
             self._later_conf[i] = self._later_conf[i + 1] | self._conf_mask[self._order[i]]
         # Deadness compares (votes, tie-break precedence) packed as
-        # votes * n + (n - 1 - tie-break rank); reach_key[i][z] adds the votes
-        # z can still receive once i ballots are cast.
+        # votes * n + (n - 1 - tie-break rank); reach[i][z] adds the votes z
+        # can still receive once i ballots are cast.
         tb_rank = [0] * n
         for rank, a in enumerate(g.tiebreak_order):
             tb_rank[a] = rank
@@ -256,8 +262,8 @@ class Solver:
             pos[a] = p
         self._tb_key = [n - 1 - tb_rank[a] for a in range(n)]
         self._leader_of = [g.tiebreak_order[n - 1 - t] for t in range(n)]
-        self._reach_key = [
-            [((n - i) - (1 if pos[z] >= i else 0)) * n + self._tb_key[z] for z in range(n)]
+        self._reach = [
+            [((n - i) - (1 if pos[z] >= i else 0)) * n for z in range(n)]
             for i in range(n + 1)
         ]
         # Memo entries of terminal states, one per winner.
@@ -278,6 +284,8 @@ class Solver:
         self._bound_skips = 0
         self._aliases = 0
         self._max_nodes = self.budget.max_nodes
+        # Entries of quiescent states by depth and leader; depth n: terminal.
+        self._quiet = [self._settled(x) for x in self._order] + [self._terminal]
         self._t0 = time.monotonic()
         max_s = self.budget.max_seconds
         self._deadline = self._t0 + max_s if max_s is not None else None
@@ -300,8 +308,8 @@ class Solver:
             raise BudgetExceededError(
                 f"node budget of {max_n} exceeded", self._stats()
             )
-        if self._deadline is not None and (self._nodes & _TIME_CHECK_MASK) == 0:
-            if time.monotonic() > self._deadline:
+        if self._deadline is not None and (self._nodes & _TIME_CHECK_MASK) == 1:
+            if time.monotonic() >= self._deadline:
                 raise BudgetExceededError(
                     f"time budget of {self.budget.max_seconds}s exceeded", self._stats()
                 )
@@ -320,22 +328,24 @@ class Solver:
         n = self.n
         return self._leader_of[max([s * n + t for s, t in zip(self._scores(p), self._tb_key)]) % n]
 
-    def _dead(self, i: int, p: int) -> tuple[int, int]:
-        """The bitmask of agents that can no longer win, and the leader.
+    def _dead(self, i: int, p: int) -> tuple[int, list[int], int]:
+        """The bitmask of agents that can no longer win, every agent's
+        ``votes * n + precedence`` key, and the leader's key.
 
-        The leader is ``winner(scores)``.  ``z`` is dead when, given every
-        vote it can still receive, it still trails the leader: fewer votes,
-        or as many and later in the tie-breaking order.  Deadness is
-        monotone along play and depends only on live agents' scores.
+        The leader is ``winner(scores)``, the agent of the largest key.
+        ``z`` is dead when, given every vote it can still receive, it still
+        trails the leader: fewer votes, or as many and later in the
+        tie-breaking order.  Deadness is monotone along play and depends only
+        on live agents' scores.
         """
         n = self.n
-        scores = self._scores(p)
-        lead = max([s * n + t for s, t in zip(scores, self._tb_key)])
+        vals = [s * n + t for s, t in zip(self._scores(p), self._tb_key)]
+        lead = max(vals)
         dead = 0
-        for s, reach, bit in zip(scores, self._reach_key[i], self._bits):
-            if s * n + reach < lead:
+        for v, reach, bit in zip(vals, self._reach[i], self._bits):
+            if v + reach < lead:
                 dead |= bit
-        return dead, self._leader_of[lead % n]
+        return dead, vals, lead
 
     def _canon(self, p: int, dead: int) -> int:
         """The canonical memo key: every bit of each dead agent's digit set,
@@ -422,31 +432,36 @@ class Solver:
         return PolicyResult(path=path, winner=winner, winners=winners)
 
     def _visited(self, i: int, p: int):
-        """Entry of a state on the selected path: from the memo, or rebuilt
-        where the search left none (a quiescent shortcut, or no memo)."""
-        dead = 0
-        if self.use_pruning:
-            dead, leader = self._dead(i, p)
-            if not (self._all ^ dead) & self._later_conf[i]:
-                return self._settled(self._order[i], dead, leader)
-        if self.use_memo:
-            return self._memo[self._canon(p, dead)]
-        return self._search(i, p)
+        """Entry of a state on the selected path: from the memo, which holds
+        every searched state under its raw key, or from :meth:`_search` where
+        the search stored none (a quiescent state, or no memo)."""
+        entry = self._memo.get(p)
+        return entry if entry is not None else self._search(i, p)
 
     def _search(self, i: int, p: int):
-        """Entry of state ``p``; the caller has missed on its raw key."""
-        if i == self.n:
+        """Entry of state ``p``; the caller has missed on its raw key.
+
+        With pruning, a child that misses the memo is settled here when it
+        is terminal or quiescent, from this state's scores: deadness is
+        monotone, so the child is quiescent when every live agent that a
+        later voter confirms is dead in it.  So the quiescent branch below
+        serves only states with no parent in the search: a call's root, and
+        the quiescent states :meth:`_visited` meets on the policy path.
+        """
+        n = self.n
+        if i == n:
             return self._terminal[self._leader(p)]
         self._tick()
         memo = self._memo
         x = self._order[i]
         key = p
+        settle = None  # entries of settled children by leader; None: search every child
         if self.use_pruning:
-            dead, leader = self._dead(i, p)
+            dead, vals, lead = self._dead(i, p)
             live = self._all ^ dead
             if not live & self._later_conf[i]:
                 self._quiescent += 1
-                return self._settled(x, dead, leader)
+                return self._quiet[i][self._leader_of[lead % n]]
             if dead and self.use_memo:
                 key = self._canon(p, dead)
                 hit = memo.get(key)
@@ -458,6 +473,18 @@ class Solver:
             ballots = self._ballots_at(x, dead)
             # The mover's best level over live agents: no ballot reaches more.
             bound = self._unit * (2 if live >> x & 1 else 1 if live & self._conf_mask[x] else 0)
+            settle = self._quiet[i + 1]
+            nonterminal = i + 1 < n  # a settled terminal child is not a node
+            # A child is quiescent once these agents are all dead in it.  Each
+            # comes with its key plus the reach it keeps in the child, not
+            # counting this ballot's vote.
+            reach = self._reach[i + 1]
+            watch = live & self._later_conf[i + 1]
+            watched = [
+                (self._pows[a], vals[a] + reach[a]) for a in range(n) if watch >> a & 1
+            ]
+            raised = [v + n for v in vals]  # each agent's key after a vote
+            leader_of = self._leader_of
         else:
             ballots = self._full_ballots[x]
             bound = self._no_bound
@@ -476,11 +503,25 @@ class Solver:
                 break
             q = p + delta
             child = lookup(q)
-            if child is None:
-                child = search(i + 1, q)
-            else:  # a raw-key hit is a node and a memo hit
+            if child is not None:  # a raw-key hit is a node and a memo hit
                 self._tick()
                 self._hits += 1
+            elif settle is None:
+                child = search(i + 1, q)
+            else:
+                top = lead  # the child's lead key
+                for a in members:
+                    if raised[a] > top:
+                        top = raised[a]
+                for bit, reach_a in watched:
+                    if reach_a + (n if delta & bit else 0) >= top:
+                        child = search(i + 1, q)  # a live agent still has a chance
+                        break
+                else:
+                    child = settle[leader_of[top % n]]
+                    if nonterminal:
+                        self._tick()
+                        self._quiescent += 1
             # The mover's worst key over the child's winners.
             mask = child[0]
             worst = base + (0 if mask & low else unit if mask & conf else 2 * unit)
@@ -499,9 +540,10 @@ class Solver:
                 memo[p] = entry
         return entry
 
-    def _settled(self, x: int, dead: int, leader: int):
-        """Entry of a quiescent state, where no voter still to move confirms
-        a live agent: the leader wins every SPE.
+    def _settled(self, x: int) -> list:
+        """Entries of the quiescent states where ``x`` moves, by leader.  In
+        such a state no voter still to move confirms a live agent, and the
+        leader wins every SPE.
 
         By backward induction, a vote for a live agent costs the voter -g
         and can only elect someone it values at level 0, and a vote for a
@@ -509,11 +551,13 @@ class Solver:
         :meth:`_choose` would pick: the first ballot, in canonical order,
         maximizing ``(-g, f)``, and ``bias_toward(t)`` prefers one
         approving ``t`` among those.  The visit order lists those ballots
-        first, in canonical order.
+        first, in canonical order.  They approve no unconfirmed agent, so
+        the dead-agent ban never removes them: the entry does not depend on
+        which agents are dead.
         """
         if self._policy is None:
-            return self._terminal[leader]
-        ballots = self._ballots_at(x, dead)
+            return self._terminal
+        ballots = self._visit_order[x]
         pick = ballots[0]
         target = self._policy.target
         if target is not None:
@@ -523,7 +567,7 @@ class Solver:
                 if target in e[0]:
                     pick = e
                     break
-        return (1 << leader, leader, pick[0])
+        return [(1 << w, w, pick[0]) for w in range(self.n)]
 
     def _combine(self, x: int, ballots, children, m1: int) -> int:
         """Union of sustainable outcomes at a node, as a bitmask.

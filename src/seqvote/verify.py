@@ -487,13 +487,13 @@ def check_comparator_equivalence(log: TextIO | None = None) -> CheckResult:
                 for gcnt in range(n - f)
             ]
             epsilons = [Fraction(j, 26 * 2 * n) for j in range(1, 26)]
+            # Each outcome's utility under each epsilon, computed once.
+            utilities = {a: [utility_from_parts(*a, eps) for eps in epsilons] for a in outcomes}
             for a in outcomes:
                 for b in outcomes:
                     ka, kb = key_from_parts(*a), key_from_parts(*b)
                     key_cmp = (ka > kb) - (ka < kb)
-                    for eps in epsilons:
-                        ua = utility_from_parts(*a, eps)
-                        ub = utility_from_parts(*b, eps)
+                    for eps, ua, ub in zip(epsilons, utilities[a], utilities[b]):
                         util_cmp = (ua > ub) - (ua < ub)
                         comparisons += 1
                         if key_cmp != util_cmp:

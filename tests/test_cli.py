@@ -149,6 +149,25 @@ def test_budget_env_var_applies(tmp_path):
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "flags,env",
+    [(["--max-seconds", "0"], None), ([], {"SEQVOTE_BUDGET_SECONDS": "0"})],
+    ids=["flag", "env"],
+)
+def test_zero_second_budget_stops_a_small_search(tmp_path, flags, env):
+    """example2 takes 30 nodes, far fewer than the nodes between two reads
+    of the clock; the deadline is read on the first node as well."""
+    graph = tmp_path / "g.json"
+    graph.write_text(network.serialize(gen_paper_instance(InstanceSpec("example2"))))
+    solved = run_cli("solve", "--graph", str(graph), "--rule", "plurality", *flags, env=env)
+    assert solved.returncode == 2, solved.stdout + solved.stderr
+    assert "time budget" in solved.stderr
+    batch = run_cli("metrics", "--in", str(tmp_path), "--rule", "plurality", *flags, env=env)
+    assert batch.returncode == 0, batch.stderr
+    records = [json.loads(line) for line in batch.stdout.splitlines()]
+    assert [r["status"] for r in records] == ["budget_exceeded"]
+
+
 @pytest.mark.parametrize("command", ["solve", "metrics"])
 @pytest.mark.parametrize(
     "flags,env,field",

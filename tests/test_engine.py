@@ -112,11 +112,17 @@ def test_memo_and_pruning_do_not_change_results():
         ("plurality_chain", 4, PLURALITY, None, (4432, 496, 432, 3504, 321)),
         ("h_k", 2, APPROVAL, Policy.canonical(), (294514, 180292, 9165, 105057, 102967)),
         ("kapproval_chain", 2, k_approval(2), None, (31102, 1190, 774, 29138, 4503)),
+        ("kapproval_chain", 1, k_approval(2), Policy.bias_toward(5), (4254, 228, 225, 3801, 697)),
     ],
-    ids=["plurality_chain(4)", "h_k(2)-approval-canonical", "kapproval_chain(2)-2-approval"],
+    ids=[
+        "plurality_chain(4)",
+        "h_k(2)-approval-canonical",
+        "kapproval_chain(2)-2-approval",
+        "kapproval_chain(1)-2-approval-bias",
+    ],
 )
 def test_searched_tree_is_pinned(name, k, rule, policy, expected):
-    """The search's counters on three catalog games.  A change to the search
+    """The search's counters on four catalog games.  A change to the search
     core that speeds it up without changing the tree it searches keeps them;
     one that changes the tree must say so here."""
     solver = Solver(gen_paper_instance(InstanceSpec(name, k)), rule)
@@ -181,6 +187,34 @@ def test_solving_from_a_mid_game_state():
     scores[3] = 1
     sub = Solver(g, APPROVAL).achievable_winners(SubgameState(1, tuple(scores)))
     assert sub  # non-empty by SPE existence
+
+
+@pytest.mark.parametrize(
+    "name,k,rule,i,scores,quiescent",
+    [
+        ("kapproval_chain", 1, k_approval(2), 3, (0, 0, 0, 1, 2, 2, 1), 1),
+        ("h_k", 2, APPROVAL, 5, (2, 0, 0, 2, 0, 0, 1), 1),
+        ("example1", None, APPROVAL, 4, (1, 0, 1, 0, 3), 1),
+        ("g_k", 2, PLURALITY, 7, (0, 0, 0, 0, 1, 0, 0, 0), 0),
+        ("g_k", 2, APPROVAL, 7, (0, 0, 0, 0, 1, 0, 0, 0), 0),
+    ],
+    ids=["mid-game", "depth-n-2", "last-voter", "last-voter-live-plurality", "last-voter-live-approval"],
+)
+def test_solving_from_a_quiescent_or_last_voter_state(name, k, rule, i, scores, quiescent):
+    """A call's own root is never settled at a parent.  From a quiescent
+    root, and from a root whose children are terminal, the pruned search
+    gives what the plain recursion gives, under every policy."""
+    g = gen_paper_instance(InstanceSpec(name, k))
+    state = SubgameState(i, scores)
+    policies = [None, Policy.canonical()] + [Policy.bias_toward(t) for t in range(g.n)]
+    for policy in policies:
+        pruned, plain = Solver(g, rule), Solver(g, rule, use_pruning=False)
+        if policy is None:
+            assert pruned.solve(state) == plain.solve(state)
+        else:
+            assert pruned.policy_spe(policy, state) == plain.policy_spe(policy, state), policy
+        stats = pruned.last_stats
+        assert (stats.nodes, stats.quiescent) == (1, quiescent)
 
 
 def test_reuse_cache_call_has_its_own_node_budget():
@@ -283,6 +317,19 @@ def test_zero_nodes_and_infinite_seconds_keep_their_meaning():
         Solver(g, PLURALITY, budget=Budget(max_nodes=0)).achievable_winners()
     solver = Solver(g, PLURALITY, budget=Budget(max_seconds=float("inf")))
     assert solver.achievable_winners() == winners_of(g, PLURALITY)
+
+
+def test_zero_seconds_stops_at_the_first_node():
+    """Like max_nodes=0, a zero time budget stops a search at its first
+    node, however small the search."""
+    g = example2()
+    for solver in (
+        Solver(g, PLURALITY, budget=Budget(max_seconds=0)),
+        Solver(g, PLURALITY, budget=Budget(max_nodes=0)),
+    ):
+        with pytest.raises(BudgetExceededError) as exc_info:
+            solver.achievable_winners()
+        assert exc_info.value.stats.nodes == 1
 
 
 def test_memo_off_path_walk_stays_within_the_search_budget():
