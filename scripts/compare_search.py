@@ -1,0 +1,171 @@
+"""Compare the search engines of two seqvote source trees, result for result.
+
+    python3 scripts/compare_search.py OLD_TREE [NEW_TREE]
+
+Each tree is a checkout of this repository (``NEW_TREE`` defaults to the one
+holding this script).  Both trees' ``src/seqvote`` are loaded side by side in
+one process, under package names of their own, and run on the same fixed list
+of games.  Each game and configuration gives one comparison of:
+
+- the winner set of a set-only search;
+- the policy winner, path and winner set under the canonical policy and
+  under ``bias_toward``;
+- all six ``SolveStats`` counters of each of those searches;
+- the ``BudgetExceededError`` message and counters (or the result, if the
+  search fits) at a node budget of a third of the search's nodes;
+- on small games, all of the above with the memo off, pruning off, or both;
+- ``verify.record_fingerprint`` of ``run_one`` records.
+
+The games are the 300 ``oracle_specs()`` games, each also from a mid-game
+state, the first 150 ``plurality_bound_specs()`` games, 150 seeded random
+games with n <= 7 under three rules, and ten catalog games.  It prints
+``comparisons N, mismatches M`` with the first mismatches, and exits 1 if
+there is any.  It takes a few minutes on one core; it is a tool for checking
+a change to the search core, not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import importlib
+import random
+import sys
+import types
+from pathlib import Path
+
+COUNTERS = ("nodes", "cache_hits", "cache_size", "quiescent", "bound_skips", "memo_aliases")
+SMALL_N = 4  # games this small also run with the memo and/or pruning off
+
+
+def load(tree: Path, name: str) -> types.SimpleNamespace:
+    """Import ``tree``'s seqvote modules as the package ``name``."""
+    package = types.ModuleType(name)
+    package.__path__ = [str(tree / "src" / "seqvote")]
+    sys.modules[name] = package
+    return types.SimpleNamespace(
+        **{
+            mod: importlib.import_module(f"{name}.{mod}")
+            for mod in ("balloting", "engine", "experiments", "families", "verify")
+        }
+    )
+
+
+def games(sv) -> list[tuple[str, object, object, object]]:
+    """(label, graph, rule, root state or None), the same list for any tree."""
+    fam, verify, b = sv.families, sv.verify, sv.balloting
+    rules = (b.PLURALITY, b.APPROVAL, b.k_approval(2))
+    out = []
+    for spec, rule in verify.oracle_specs():
+        g = fam.gen_random(spec)
+        out.append((f"oracle/{spec.seed}/{rule.label()}", g, rule, None))
+        # A mid-game root: the first half of the voters cast random legal ballots.
+        rng = random.Random(spec.seed)
+        scores = (0,) * g.n
+        for i in range(g.n // 2 + 1):
+            ballot = rng.choice(b.legal_ballots(rule, g.voting_order[i], g.n))
+            scores = b.apply_ballot(scores, ballot)
+        state = sv.engine.SubgameState(g.n // 2 + 1, scores)
+        out.append((f"oracle/{spec.seed}/{rule.label()}/mid", g, rule, state))
+    for spec in verify.plurality_bound_specs()[:150]:
+        out.append((f"plurality_bound/{spec.seed}", fam.gen_random(spec), b.PLURALITY, None))
+    for j in range(150):
+        spec = fam.RandomSpec(n=3 + j % 5, p=(0.2, 0.4, 0.6)[j % 3], max_out=None, seed=7000 + j)
+        rule = rules[j % 3]
+        out.append((f"random/{spec.seed}/{rule.label()}", fam.gen_random(spec), rule, None))
+    for name, k, rule in (
+        ("example1", None, b.PLURALITY),
+        ("example1", None, b.APPROVAL),
+        ("example2", None, b.PLURALITY),
+        ("example2", None, b.APPROVAL),
+        ("g_k", 2, b.PLURALITY),
+        ("plurality_chain_fig5", None, b.PLURALITY),
+        ("plurality_chain", 4, b.PLURALITY),
+        ("kapproval_chain", 1, b.k_approval(2)),
+        ("kapproval_chain", 2, b.k_approval(2)),
+        ("h_k", 2, b.APPROVAL),
+    ):
+        g = fam.gen_paper_instance(fam.InstanceSpec(name, k))
+        out.append((f"catalog/{name}({k})/{rule.label()}", g, rule, None))
+    return out
+
+
+def counters(solver) -> tuple:
+    stats = solver.last_stats.as_dict()
+    return tuple(stats[c] for c in COUNTERS)
+
+
+def outcome(engine, g, rule, state, policy, budget=None, **config) -> tuple:
+    """Everything one search reports, or its budget error."""
+    solver = engine.Solver(g, rule, budget=budget, **config)
+    try:
+        if policy is None:
+            result = (sorted(solver.achievable_winners(state)),)
+        else:
+            spe = solver.policy_spe(policy, state)
+            result = (sorted(spe.winners), spe.winner, [sorted(b) for b in spe.path])
+    except engine.BudgetExceededError as exc:
+        stats = exc.stats.as_dict()
+        return ("budget", str(exc), tuple(stats[c] for c in COUNTERS))
+    return ("ok", result, counters(solver))
+
+
+def runs(sv, g, rule, state):
+    """(label, outcome) for every configuration of one game."""
+    engine = sv.engine
+    policies = [
+        ("set", None),
+        ("canonical", engine.Policy.canonical()),
+        ("bias", engine.Policy.bias_toward(g.n - 1)),
+    ]
+    configs = [("memo+pruning", {})]
+    if g.n <= SMALL_N:
+        configs += [
+            ("no-memo", {"use_memo": False}),
+            ("no-pruning", {"use_pruning": False}),
+            ("plain", {"use_memo": False, "use_pruning": False}),
+        ]
+    for config_label, config in configs:
+        for policy_label, policy in policies:
+            label = f"{config_label}/{policy_label}"
+            full = outcome(engine, g, rule, state, policy, **config)
+            yield label, full
+            budget = engine.Budget(max_nodes=full[2][0] // 3)
+            yield label + "/budget", outcome(engine, g, rule, state, policy, budget, **config)
+
+
+def fingerprints(sv):
+    for source, rule in sv.verify.determinism_sources():
+        for pruning in (True, False):
+            record = sv.experiments.run_one(source, rule, use_pruning=pruning)
+            yield f"record/{record.instance}/{rule.label()}/{pruning}", sv.verify.record_fingerprint(record)
+
+
+def main(argv: list[str]) -> int:
+    if not 2 <= len(argv) <= 3:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    old_tree = Path(argv[1]).resolve()
+    new_tree = Path(argv[2]).resolve() if len(argv) == 3 else Path(__file__).resolve().parents[1]
+    old, new = load(old_tree, "seqvote_old"), load(new_tree, "seqvote_new")
+    comparisons = 0
+    mismatches = []
+    for (label, g_old, rule_old, state_old), (_, g_new, rule_new, state_new) in zip(
+        games(old), games(new)
+    ):
+        for (config, a), (_, b) in zip(
+            runs(old, g_old, rule_old, state_old), runs(new, g_new, rule_new, state_new)
+        ):
+            comparisons += 1
+            if a != b:
+                mismatches.append((f"{label}/{config}", a, b))
+    for (label, a), (_, b) in zip(fingerprints(old), fingerprints(new)):
+        comparisons += 1
+        if a != b:
+            mismatches.append((label, a, b))
+    print(f"comparisons {comparisons}, mismatches {len(mismatches)}")
+    for label, a, b in mismatches[:10]:
+        print(f"  {label}:\n    old {a}\n    new {b}")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

@@ -40,11 +40,14 @@ Exact cuts (``use_pruning``), none of which changes a result:
 
 The inner loop works on ints.  A state is one int, ``i * 256**n +
 sum(scores[a] * 256**a)``, and a ballot adds a fixed delta to it (an
-incremental key, after Zobrist 1970).  The memo is probed with this raw key
-before dead agents are found; on a miss, with the canonical key, which sets
-all bits of each dead agent's digit, and the raw key is stored as an alias
-of the canonical entry.  Winner sets are bitmasks, turned into frozensets
-only when a call returns.
+incremental key, after Zobrist 1970).  A parent probes the memo for each
+child with this raw key; on a miss, and when the child is not quiescent,
+with the child's canonical key, which sets all bits of each dead agent's
+digit, and the raw key is stored as an alias of the canonical entry.
+Deadness is monotone, so the parent derives the child's dead agents, key
+vector and canonical key from its own, testing only its live agents; only a
+call's root decodes its scores to find them.  Winner sets are bitmasks,
+turned into frozensets only when a call returns.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from .network import ConfirmationNetwork
 from .preferences import assess, outcome_level
 
 _TIME_CHECK_MASK = 0x3FF  # check the wall clock on node 1, then every 1024 nodes
+_NEVER = 1 << 64  # a node count no search reaches: no check is due
 
 
 @dataclass(frozen=True)
@@ -183,7 +187,12 @@ class Solver:
     The memo also keeps raw state keys as aliases of canonical entries.  A
     hit on an alias is a memo hit and a node, as a canonical hit is, so
     counters and budgets are those of a memo without aliases; ``cache_size``
-    counts canonical entries and ``memo_aliases`` the raw keys stored.
+    counts canonical entries and ``memo_aliases`` the raw keys stored.  Both
+    probes of a child happen at its parent, so a canonical hit, like a
+    settled child, costs no call.
+
+    Node accounting is inline: each node adds one to ``_nodes`` and calls
+    :meth:`_check` only when the count reaches ``_check_at``.
     """
 
     def __init__(
@@ -289,6 +298,8 @@ class Solver:
         self._t0 = time.monotonic()
         max_s = self.budget.max_seconds
         self._deadline = self._t0 + max_s if max_s is not None else None
+        limited = self._max_nodes is not None or self._deadline is not None
+        self._check_at = 1 if limited else _NEVER
 
     def _stats(self) -> SolveStats:
         return SolveStats(
@@ -301,18 +312,26 @@ class Solver:
             memo_aliases=self._aliases,
         )
 
-    def _tick(self) -> None:
-        self._nodes += 1
+    def _check(self) -> None:
+        """The budget check at node ``_check_at``, the next node that can
+        exceed the node budget or must read the clock (node 1, then every
+        1024th).  Raises when the node budget is exceeded or the clock has
+        reached the deadline; otherwise moves ``_check_at`` to the next such
+        node."""
+        nodes = self._nodes
         max_n = self._max_nodes
-        if max_n is not None and self._nodes > max_n:
+        if max_n is not None and nodes > max_n:
             raise BudgetExceededError(
                 f"node budget of {max_n} exceeded", self._stats()
             )
-        if self._deadline is not None and (self._nodes & _TIME_CHECK_MASK) == 1:
-            if time.monotonic() >= self._deadline:
+        check_at = _NEVER if max_n is None else max_n + 1
+        if self._deadline is not None:
+            if (nodes & _TIME_CHECK_MASK) == 1 and time.monotonic() >= self._deadline:
                 raise BudgetExceededError(
                     f"time budget of {self.budget.max_seconds}s exceeded", self._stats()
                 )
+            check_at = min(check_at, ((nodes - 1) | _TIME_CHECK_MASK) + 2)
+        self._check_at = check_at
 
     # -- packed states, dead agents and memo keys -------------------------------
 
@@ -336,7 +355,9 @@ class Solver:
         ``z`` is dead when, given every vote it can still receive, it still
         trails the leader: fewer votes, or as many and later in the
         tie-breaking order.  Deadness is monotone along play and depends only
-        on live agents' scores.
+        on live agents' scores.  So it is found here only at a state with no
+        parent in the search; :meth:`_search` derives every other state's
+        from its parent's.
         """
         n = self.n
         vals = [s * n + t for s, t in zip(self._scores(p), self._tb_key)]
@@ -349,7 +370,9 @@ class Solver:
 
     def _canon(self, p: int, dead: int) -> int:
         """The canonical memo key: every bit of each dead agent's digit set,
-        a value no score reaches."""
+        a value no score reaches.  ``_canon(0, dead)`` is the dead-digit
+        fill itself, which a state passes to its children; it is computed
+        only where :meth:`_dead` runs."""
         for bit, fill in zip(self._bits, self._fills):
             if dead & bit:
                 p |= fill
@@ -422,6 +445,7 @@ class Solver:
         # the path back from it; a subgame it must search again (no memo) is
         # outside that search's budget.
         self._max_nodes = self._deadline = None
+        self._check_at = _NEVER
         path = []
         i, p = state.i, self._pack(state)
         while i < self.n:
@@ -438,51 +462,63 @@ class Solver:
         entry = self._memo.get(p)
         return entry if entry is not None else self._search(i, p)
 
-    def _search(self, i: int, p: int):
+    def _search(self, i: int, p: int, known=None):
         """Entry of state ``p``; the caller has missed on its raw key.
 
-        With pruning, a child that misses the memo is settled here when it
-        is terminal or quiescent, from this state's scores: deadness is
-        monotone, so the child is quiescent when every live agent that a
-        later voter confirms is dead in it.  So the quiescent branch below
-        serves only states with no parent in the search: a call's root, and
-        the quiescent states :meth:`_visited` meets on the policy path.
+        With pruning, a parent settles each child that misses the memo
+        itself when the child is terminal or quiescent, from the parent's
+        own scores: deadness is monotone, so the child is quiescent when
+        every live agent that a later voter confirms is dead in it.  For any
+        other child it derives ``known``: the child's dead mask, its
+        ``votes * n + precedence`` keys, its leader's key and its dead-digit
+        fill, testing only the parent's live agents.  It probes the memo
+        with the canonical key ``q | fill`` and calls this method, with
+        ``known``, only on a miss, so a call given ``known`` neither decodes
+        its scores nor probes the memo again.  A call without ``known`` has
+        no parent in the search: a call's root, or a state :meth:`_visited`
+        meets on the policy path.  Only such a call finds its dead agents
+        and may be quiescent.
         """
         n = self.n
         if i == n:
             return self._terminal[self._leader(p)]
-        self._tick()
+        self._nodes += 1
+        if self._nodes >= self._check_at:
+            self._check()
         memo = self._memo
         x = self._order[i]
         key = p
         settle = None  # entries of settled children by leader; None: search every child
         if self.use_pruning:
-            dead, vals, lead = self._dead(i, p)
-            live = self._all ^ dead
-            if not live & self._later_conf[i]:
-                self._quiescent += 1
-                return self._quiet[i][self._leader_of[lead % n]]
-            if dead and self.use_memo:
-                key = self._canon(p, dead)
-                hit = memo.get(key)
-                if hit is not None:
-                    self._hits += 1
-                    self._aliases += 1
-                    memo[p] = hit
-                    return hit
+            if known is None:
+                dead, vals, lead = self._dead(i, p)
+                live = self._all ^ dead
+                if not live & self._later_conf[i]:
+                    self._quiescent += 1
+                    return self._quiet[i][self._leader_of[lead % n]]
+                fill = self._canon(0, dead)
+            else:
+                dead, vals, lead, fill = known
+                live = self._all ^ dead
+            key = p | fill
             ballots = self._ballots_at(x, dead)
             # The mover's best level over live agents: no ballot reaches more.
             bound = self._unit * (2 if live >> x & 1 else 1 if live & self._conf_mask[x] else 0)
             settle = self._quiet[i + 1]
             nonterminal = i + 1 < n  # a settled terminal child is not a node
-            # A child is quiescent once these agents are all dead in it.  Each
-            # comes with its key plus the reach it keeps in the child, not
-            # counting this ballot's vote.
+            # Each live agent with its digit, bit and fill, and its key plus
+            # the reach it keeps in a child, not counting this ballot's vote.
+            # It is dead in the child when that, plus the ballot's vote,
+            # falls below the child's lead key.  The child is quiescent once
+            # every watched one, confirmed by a later voter, is dead.
             reach = self._reach[i + 1]
-            watch = live & self._later_conf[i + 1]
-            watched = [
-                (self._pows[a], vals[a] + reach[a]) for a in range(n) if watch >> a & 1
+            lives = [
+                (self._pows[a], vals[a] + reach[a], self._bits[a], self._fills[a])
+                for a in range(n)
+                if live >> a & 1
             ]
+            watch = live & self._later_conf[i + 1]
+            watched = [(digit, chance) for digit, chance, bit, _ in lives if watch & bit]
             raised = [v + n for v in vals]  # each agent's key after a vote
             leader_of = self._leader_of
         else:
@@ -504,7 +540,9 @@ class Solver:
             q = p + delta
             child = lookup(q)
             if child is not None:  # a raw-key hit is a node and a memo hit
-                self._tick()
+                self._nodes += 1
+                if self._nodes >= self._check_at:
+                    self._check()
                 self._hits += 1
             elif settle is None:
                 child = search(i + 1, q)
@@ -513,15 +551,36 @@ class Solver:
                 for a in members:
                     if raised[a] > top:
                         top = raised[a]
-                for bit, reach_a in watched:
-                    if reach_a + (n if delta & bit else 0) >= top:
-                        child = search(i + 1, q)  # a live agent still has a chance
-                        break
+                for digit, chance in watched:
+                    if chance + (n if delta & digit else 0) >= top:
+                        break  # a live agent still has a chance
                 else:
                     child = settle[leader_of[top % n]]
                     if nonterminal:
-                        self._tick()
+                        self._nodes += 1
+                        if self._nodes >= self._check_at:
+                            self._check()
                         self._quiescent += 1
+                if child is None:
+                    child_dead, child_fill = dead, fill
+                    for digit, chance, bit, agent_fill in lives:
+                        if chance + (n if delta & digit else 0) < top:
+                            child_dead |= bit
+                            child_fill |= agent_fill
+                    if child_fill:
+                        child = lookup(q | child_fill)
+                    if child is not None:  # a canonical hit: a node, a hit and an alias
+                        self._nodes += 1
+                        if self._nodes >= self._check_at:
+                            self._check()
+                        self._hits += 1
+                        self._aliases += 1
+                        memo[q] = child
+                    else:
+                        child_vals = vals.copy()
+                        for a in members:
+                            child_vals[a] = raised[a]
+                        child = search(i + 1, q, (child_dead, child_vals, top, child_fill))
             # The mover's worst key over the child's winners.
             mask = child[0]
             worst = base + (0 if mask & low else unit if mask & conf else 2 * unit)

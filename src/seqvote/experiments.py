@@ -123,18 +123,6 @@ def instance_metrics(g: ConfirmationNetwork, winners) -> InstanceMetrics:
     )
 
 
-def metrics_of(
-    g: ConfirmationNetwork,
-    rule: Rule,
-    *,
-    budget: Budget | None = None,
-    use_pruning: bool = True,
-) -> tuple[InstanceMetrics, Solver]:
-    """Winner set plus gap/ratio metrics; returns the solver for its stats."""
-    solver = Solver(g, rule, budget=budget, use_pruning=use_pruning)
-    return instance_metrics(g, solver.achievable_winners()), solver
-
-
 def _verdicts(g: ConfirmationNetwork, rule: Rule, metrics: InstanceMetrics) -> dict:
     """Per-record invariant verdicts aggregated by summarize()."""
     verdicts = {
@@ -306,8 +294,9 @@ def run_one(
             error=str(exc),
         )
     graph_doc = net.to_json_dict(g)
+    solver = Solver(g, rule, budget=budget, use_pruning=use_pruning)
     try:
-        metrics, solver = metrics_of(g, rule, budget=budget, use_pruning=use_pruning)
+        winners = solver.achievable_winners()
     except BudgetExceededError as exc:
         return RunRecord(
             instance=descriptor,
@@ -319,6 +308,7 @@ def run_one(
             stats=exc.stats.as_dict(),
             error=str(exc),
         )
+    metrics = instance_metrics(g, winners)
     return RunRecord(
         instance=descriptor,
         graph=graph_doc,
@@ -354,19 +344,6 @@ def read_records(fh: TextIO) -> list[RunRecord]:
             raise RecordError(f"line {line_no}: invalid JSON: {exc}") from exc
         records.append(RunRecord.from_dict(data))
     return records
-
-
-def recheck_record(record: RunRecord) -> bool:
-    """Recompute the stored per-winner ratios and gaps from the embedded graph."""
-    if record.metrics is None:
-        return True
-    g = net.from_json_dict(record.graph)
-    for m in record.metrics.per_winner:
-        if net.additive_gap(g, m.agent) != m.gap:
-            return False
-        if net.ratio(g, m.agent) != m.ratio:
-            return False
-    return True
 
 
 @dataclass

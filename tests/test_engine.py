@@ -106,30 +106,93 @@ def test_memo_and_pruning_do_not_change_results():
     assert stats["quiescent"] == 0 and stats["bound_skips"] == 0
 
 
-@pytest.mark.parametrize(
-    "name,k,rule,policy,expected",
-    [
-        ("plurality_chain", 4, PLURALITY, None, (4432, 496, 432, 3504, 321)),
-        ("h_k", 2, APPROVAL, Policy.canonical(), (294514, 180292, 9165, 105057, 102967)),
-        ("kapproval_chain", 2, k_approval(2), None, (31102, 1190, 774, 29138, 4503)),
-        ("kapproval_chain", 1, k_approval(2), Policy.bias_toward(5), (4254, 228, 225, 3801, 697)),
-    ],
-    ids=[
-        "plurality_chain(4)",
-        "h_k(2)-approval-canonical",
-        "kapproval_chain(2)-2-approval",
-        "kapproval_chain(1)-2-approval-bias",
-    ],
-)
+# (name, k, rule, policy) and the search's counters: nodes, cache_hits,
+# cache_size, quiescent, bound_skips, memo_aliases.
+PINNED = [
+    ("plurality_chain", 4, PLURALITY, None, (4432, 496, 432, 3504, 321, 0)),
+    ("h_k", 2, APPROVAL, Policy.canonical(), (294514, 180292, 9165, 105057, 102967, 18257)),
+    ("kapproval_chain", 2, k_approval(2), None, (31102, 1190, 774, 29138, 4503, 0)),
+    ("kapproval_chain", 1, k_approval(2), Policy.bias_toward(5), (4254, 228, 225, 3801, 697, 0)),
+]
+PINNED_IDS = [
+    "plurality_chain(4)",
+    "h_k(2)-approval-canonical",
+    "kapproval_chain(2)-2-approval",
+    "kapproval_chain(1)-2-approval-bias",
+]
+COUNTERS = ("nodes", "cache_hits", "cache_size", "quiescent", "bound_skips", "memo_aliases")
+
+
+def counters_of(stats):
+    return tuple(stats.as_dict()[key] for key in COUNTERS)
+
+
+@pytest.mark.parametrize("name,k,rule,policy,expected", PINNED, ids=PINNED_IDS)
 def test_searched_tree_is_pinned(name, k, rule, policy, expected):
     """The search's counters on four catalog games.  A change to the search
     core that speeds it up without changing the tree it searches keeps them;
     one that changes the tree must say so here."""
     solver = Solver(gen_paper_instance(InstanceSpec(name, k)), rule)
     solver.solve(policy=policy)
-    stats = solver.last_stats.as_dict()
-    keys = ("nodes", "cache_hits", "cache_size", "quiescent", "bound_skips")
-    assert {key: stats[key] for key in keys} == dict(zip(keys, expected))
+    assert counters_of(solver.last_stats) == expected
+
+
+@pytest.mark.parametrize("name,k,rule,policy,expected", PINNED, ids=PINNED_IDS)
+def test_node_budget_and_clock_on_the_pinned_games(monkeypatch, name, k, rule, policy, expected):
+    """A node budget of exactly a search's nodes lets it finish with the same
+    answer and counters; one node less stops it at that node.  A time budget
+    reads the clock on node 1 and every 1024th node after it."""
+    g = gen_paper_instance(InstanceSpec(name, k))
+    nodes = expected[0]
+    answer = Solver(g, rule).solve(policy=policy)
+    exact = Solver(g, rule, budget=Budget(max_nodes=nodes))
+    assert exact.solve(policy=policy) == answer
+    assert counters_of(exact.last_stats) == expected
+    short = Solver(g, rule, budget=Budget(max_nodes=nodes - 1))
+    with pytest.raises(BudgetExceededError, match=f"node budget of {nodes - 1} exceeded") as exc_info:
+        short.solve(policy=policy)
+    assert exc_info.value.stats.nodes == nodes
+    timed = Solver(g, rule, budget=Budget(max_seconds=float("inf")))
+    reads = []  # the node count at each clock read
+    monkeypatch.setattr(
+        engine, "time", SimpleNamespace(monotonic=lambda: reads.append(timed._nodes) or 0.0)
+    )
+    assert timed.solve(policy=policy) == answer
+    # _start reads the clock before node 1, and _stats after the last node
+    assert reads == [0, *range(1, nodes + 1, 1024), nodes]
+
+
+class KnownCheckingSolver(Solver):
+    """Checks that what a parent derives for a child, its dead mask, keys,
+    lead key and dead-digit fill, is what the child finds from scratch."""
+
+    checked = 0
+
+    def _search(self, i, p, known=None):
+        if known is not None:
+            dead, vals, lead = self._dead(i, p)
+            assert known == (dead, vals, lead, self._canon(0, dead)), (i, p)
+            self.checked += 1
+        return super()._search(i, p, known)
+
+
+def test_a_parent_derives_what_its_child_would_find():
+    """On the oracle games with the memo on and off, and on n = 6 approval
+    and n = 7 plurality games with it on."""
+    small = [(gen_random(spec), rule) for spec, rule in oracle_specs()]
+    large = [
+        (gen_random(RandomSpec(n=n, p=p, max_out=None, seed=seed0 + j)), rule)
+        for n, rule, seed0 in ((6, APPROVAL, 8100), (7, PLURALITY, 8200))
+        for j, p in enumerate((0.15, 0.3, 0.5, 0.75))
+    ]
+    checked = 0
+    for games, memo_settings in ((small, (True, False)), (large, (True,))):
+        for g, rule in games:
+            for use_memo in memo_settings:
+                solver = KnownCheckingSolver(g, rule, use_memo=use_memo)
+                solver.policy_spe(Policy.canonical())
+                checked += solver.checked
+    assert checked > 60_000
 
 
 def test_naive_oracle_pins_the_papers_examples():
