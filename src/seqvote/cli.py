@@ -209,17 +209,11 @@ def report(in_path, out):
     default=False,
     help="--fast skips the heavy-tier golden instances.",
 )
-@click.option(
-    "--experimental",
-    is_flag=True,
-    default=False,
-    help="Also run optional experimental checks (slow).",
-)
-def verify_paper(fast, experimental):
+def verify_paper(fast):
     """Run the full verification suite and print a pass/fail CSV table."""
     from .verify import run_all
 
-    results = run_all(heavy=not fast, experimental=experimental, log=sys.stderr)
+    results = run_all(heavy=not fast, log=sys.stderr)
     click.echo("criterion,status,seconds,detail")
     ok = True
     for r in results:

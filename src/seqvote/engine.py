@@ -28,8 +28,7 @@ Exact cuts (``use_pruning``), none of which changes a result:
   voter values at level 0, and a vote for a dead agent changes no winner.
   A quiescent child is settled at its parent, from the parent's own scores,
   without a call of its own: its entry depends only on its mover and leader
-  and comes from a per-call table.  Quiescent states are never stored, and
-  the policy path's suffix ballots are read from the same table.
+  and comes from a per-call table.  Quiescent states are never stored.
 - Threat bound, the set-valued form of alpha-beta pruning (Knuth & Moore,
   1975).  Only live agents can win, so no outcome of ballot ``b`` has a key
   above ``(L, -g_b, f_b)``, where ``L`` is the mover's best level over live
@@ -48,13 +47,19 @@ Deadness is monotone, so the parent derives the child's dead agents, key
 vector and canonical key from its own, testing only its live agents; only a
 call's root decodes its scores to find them.  Winner sets are bitmasks,
 turned into frozensets only when a call returns.
+
+An entry is ``(winners, policy winner, policy ballot, child entry)``: under
+a policy each entry links to the entry of the child its ballot leads to, and
+a quiescent table entry to the same leader's entry one depth on.  The
+selected equilibrium's path is the chain of ballots from the root's entry,
+so it comes out of the one search, under its budget.
 """
 
 from __future__ import annotations
 
 import struct
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import itemgetter
 
 from .balloting import Rule, apply_ballot, legal_ballots
@@ -113,15 +118,7 @@ class SolveStats:
     memo_aliases: int = 0  # raw state keys stored next to canonical entries
 
     def as_dict(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "cache_hits": self.cache_hits,
-            "cache_size": self.cache_size,
-            "wall_seconds": self.wall_seconds,
-            "quiescent": self.quiescent,
-            "bound_skips": self.bound_skips,
-            "memo_aliases": self.memo_aliases,
-        }
+        return asdict(self)
 
 
 class BudgetExceededError(RuntimeError):
@@ -141,16 +138,17 @@ class Policy:
     canonical order.
     """
 
-    kind: str  # "canonical" | "bias_toward"
-    target: int | None = None
+    target: int | None = None  # None: canonical
 
     @staticmethod
     def canonical() -> "Policy":
-        return Policy("canonical")
+        return Policy()
 
     @staticmethod
     def bias_toward(target: int) -> "Policy":
-        return Policy("bias_toward", target)
+        if target is None:
+            raise ValueError("bias_toward needs a target agent")
+        return Policy(target)
 
 
 @dataclass
@@ -167,11 +165,12 @@ class Solver:
 
     One recursion, :meth:`solve`, answers both questions asked of a state:
     its achievable set and, when a selection policy is given, the policy's
-    winner and on-path ballot.  :meth:`achievable_winners` returns the set
-    as a frozenset; :meth:`policy_spe` returns the selected equilibrium
-    together with the set from the same search.  Every call starts a fresh
-    memo under its own budget, so callers that need several facts about one
-    game solve it once and read them all from that result.
+    winner and on-path ballots, read off the root's entry.
+    :meth:`achievable_winners` returns the set as a frozenset;
+    :meth:`policy_spe` returns the selected equilibrium together with the
+    set from the same search.  Every call starts a fresh memo under its own
+    budget, so callers that need several facts about one game solve it once
+    and read them all from that result.
 
     ``use_memo`` and ``use_pruning`` exist so the soundness suites can
     compare every configuration; both default on, and neither changes any
@@ -181,8 +180,8 @@ class Solver:
     canonical order.
 
     A quiescent state is a node and counts in ``quiescent`` wherever it is
-    met, though only a call's root is settled by a call of its own: the
-    others are settled at their parent.  A terminal state is not a node.
+    met: a call's root is settled by :meth:`_root`, any other state at its
+    parent.  A terminal state is not a node.
 
     The memo also keeps raw state keys as aliases of canonical entries.  A
     hit on an alias is a memo hit and a node, as a canonical hit is, so
@@ -276,7 +275,7 @@ class Solver:
             for i in range(n + 1)
         ]
         # Memo entries of terminal states, one per winner.
-        self._terminal = [(1 << w, w, None) for w in range(n)]
+        self._terminal = [(1 << w, w, None, None) for w in range(n)]
         self._memo: dict = {}
         self._policy: Policy | None = None
         self.last_stats = SolveStats()
@@ -294,7 +293,10 @@ class Solver:
         self._aliases = 0
         self._max_nodes = self.budget.max_nodes
         # Entries of quiescent states by depth and leader; depth n: terminal.
-        self._quiet = [self._settled(x) for x in self._order] + [self._terminal]
+        quiet = [self._terminal]
+        for x in reversed(self._order):
+            quiet.append(self._settled(x, quiet[-1]))
+        self._quiet = quiet[::-1]
         self._t0 = time.monotonic()
         max_s = self.budget.max_seconds
         self._deadline = self._t0 + max_s if max_s is not None else None
@@ -347,36 +349,29 @@ class Solver:
         n = self.n
         return self._leader_of[max([s * n + t for s, t in zip(self._scores(p), self._tb_key)]) % n]
 
-    def _dead(self, i: int, p: int) -> tuple[int, list[int], int]:
-        """The bitmask of agents that can no longer win, every agent's
-        ``votes * n + precedence`` key, and the leader's key.
+    def _known(self, i: int, p: int) -> tuple[int, list[int], int, int]:
+        """What :meth:`_search` is given about state ``p``: the bitmask of
+        agents that can no longer win, every agent's ``votes * n +
+        precedence`` key, the leader's key and the dead-digit fill.
 
         The leader is ``winner(scores)``, the agent of the largest key.
         ``z`` is dead when, given every vote it can still receive, it still
         trails the leader: fewer votes, or as many and later in the
-        tie-breaking order.  Deadness is monotone along play and depends only
-        on live agents' scores.  So it is found here only at a state with no
-        parent in the search; :meth:`_search` derives every other state's
-        from its parent's.
+        tie-breaking order.  The fill sets every bit of each dead agent's
+        digit, a value no score reaches; ``p | fill`` is the canonical memo
+        key.  Deadness is monotone along play and depends only on live
+        agents' scores, so this runs only at a call's root; a parent derives
+        every other state's from its own.
         """
         n = self.n
         vals = [s * n + t for s, t in zip(self._scores(p), self._tb_key)]
         lead = max(vals)
-        dead = 0
-        for v, reach, bit in zip(vals, self._reach[i], self._bits):
+        dead = fill = 0
+        for v, reach, bit, agent_fill in zip(vals, self._reach[i], self._bits, self._fills):
             if v + reach < lead:
                 dead |= bit
-        return dead, vals, lead
-
-    def _canon(self, p: int, dead: int) -> int:
-        """The canonical memo key: every bit of each dead agent's digit set,
-        a value no score reaches.  ``_canon(0, dead)`` is the dead-digit
-        fill itself, which a state passes to its children; it is computed
-        only where :meth:`_dead` runs."""
-        for bit, fill in zip(self._bits, self._fills):
-            if dead & bit:
-                p |= fill
-        return p
+                fill |= agent_fill
+        return dead, vals, lead, fill
 
     def _ballots_at(self, x: int, dead: int) -> list[tuple[tuple[int, ...], int, int, int]]:
         """Legal ballots for mover ``x`` in visit order, dominated ones pruned.
@@ -403,31 +398,33 @@ class Solver:
         self,
         state: SubgameState | None = None,
         policy: Policy | None = None,
-    ) -> tuple[frozenset[int], int | None, tuple[int, ...] | None]:
-        """The memo entry of ``state`` (default: the initial state).
+    ) -> tuple[frozenset[int], int | None, list[frozenset[int]] | None]:
+        """The achievable set of ``state`` (default: the initial state), the
+        policy's winner and its on-path ballots, one per voter still to move.
 
-        The entry is ``(achievable set, policy winner, policy ballot)``; the
-        last two are None without a policy, and the ballot is None at a
-        terminal state.  Each call starts a fresh memo and has its own budget
-        and ``last_stats``.
+        The last two are None without a policy.  The path follows each
+        entry's selected child from the root's entry, so nothing is searched
+        after the search.  Each call starts a fresh memo and has its own
+        budget and ``last_stats``.
         """
-        if policy is not None:
-            if policy.kind not in ("canonical", "bias_toward"):
-                raise ValueError(f"unknown policy kind {policy.kind!r}")
-            if policy.kind == "bias_toward" and (
-                policy.target is None or not (0 <= policy.target < self.n)
-            ):
-                raise ValueError(f"bias_toward needs a valid target, got {policy.target}")
+        if policy is not None and policy.target is not None and not 0 <= policy.target < self.n:
+            raise ValueError(f"bias_toward needs a valid target, got {policy.target}")
         if state is None:
             state = initial_state(self.n)
         state.validate(self.n)
         self._start(policy)
         try:
-            mask, winner, ballot = self._search(state.i, self._pack(state))
+            entry = self._root(state.i, self._pack(state))
         finally:
             self.last_stats = self._stats()
-        winners = frozenset(a for a in range(self.n) if mask >> a & 1)
-        return (winners, winner, ballot) if policy is not None else (winners, None, None)
+        winners = frozenset(a for a in range(self.n) if entry[0] >> a & 1)
+        if policy is None:
+            return winners, None, None
+        winner, path = entry[1], []
+        while entry[2] is not None:
+            path.append(frozenset(entry[2]))
+            entry = entry[3]
+        return winners, winner, path
 
     def achievable_winners(self, state: SubgameState | None = None) -> frozenset[int]:
         """Exactly the agents elected in at least one SPE of the (sub)game."""
@@ -438,32 +435,28 @@ class Solver:
     ) -> PolicyResult:
         """One SPE selected by ``policy`` at every node: its on-path ballots and
         winner, with the achievable set the same search found."""
-        if state is None:
-            state = initial_state(self.n)
-        winners, winner, _ = self.solve(state, policy)
-        # The search is over and last_stats holds its counts.  The walk reads
-        # the path back from it; a subgame it must search again (no memo) is
-        # outside that search's budget.
-        self._max_nodes = self._deadline = None
-        self._check_at = _NEVER
-        path = []
-        i, p = state.i, self._pack(state)
-        while i < self.n:
-            members = self._visited(i, p)[2]
-            path.append(frozenset(members))
-            p += self._istep + sum(self._pows[a] for a in members)
-            i += 1
+        winners, winner, path = self.solve(state, policy)
         return PolicyResult(path=path, winner=winner, winners=winners)
 
-    def _visited(self, i: int, p: int):
-        """Entry of a state on the selected path: from the memo, which holds
-        every searched state under its raw key, or from :meth:`_search` where
-        the search stored none (a quiescent state, or no memo)."""
-        entry = self._memo.get(p)
-        return entry if entry is not None else self._search(i, p)
+    def _root(self, i: int, p: int):
+        """Entry of a call's root ``p``, the one state with no parent in the
+        search.  With pruning it finds the root's :meth:`_known` facts and
+        settles a quiescent root as a parent settles a quiescent child: one
+        node, from the per-call table.  Any other root is searched."""
+        if not self.use_pruning or i == self.n:
+            return self._search(i, p)
+        known = self._known(i, p)
+        dead, _vals, lead, _fill = known
+        if (self._all ^ dead) & self._later_conf[i]:
+            return self._search(i, p, known)
+        self._nodes += 1
+        if self._nodes >= self._check_at:
+            self._check()
+        self._quiescent += 1
+        return self._quiet[i][self._leader_of[lead % self.n]]
 
     def _search(self, i: int, p: int, known=None):
-        """Entry of state ``p``; the caller has missed on its raw key.
+        """Entry of state ``p``, searched; no probe has found it.
 
         With pruning, a parent settles each child that misses the memo
         itself when the child is terminal or quiescent, from the parent's
@@ -473,11 +466,9 @@ class Solver:
         ``votes * n + precedence`` keys, its leader's key and its dead-digit
         fill, testing only the parent's live agents.  It probes the memo
         with the canonical key ``q | fill`` and calls this method, with
-        ``known``, only on a miss, so a call given ``known`` neither decodes
-        its scores nor probes the memo again.  A call without ``known`` has
-        no parent in the search: a call's root, or a state :meth:`_visited`
-        meets on the policy path.  Only such a call finds its dead agents
-        and may be quiescent.
+        ``known``, only on a miss, so a call neither decodes its scores nor
+        probes the memo again.  :meth:`_root` gives a call's root its
+        ``known``.  Without pruning ``known`` is None and unused.
         """
         n = self.n
         if i == n:
@@ -490,16 +481,8 @@ class Solver:
         key = p
         settle = None  # entries of settled children by leader; None: search every child
         if self.use_pruning:
-            if known is None:
-                dead, vals, lead = self._dead(i, p)
-                live = self._all ^ dead
-                if not live & self._later_conf[i]:
-                    self._quiescent += 1
-                    return self._quiet[i][self._leader_of[lead % n]]
-                fill = self._canon(0, dead)
-            else:
-                dead, vals, lead, fill = known
-                live = self._all ^ dead
+            dead, vals, lead, fill = known
+            live = self._all ^ dead
             key = p | fill
             ballots = self._ballots_at(x, dead)
             # The mover's best level over live agents: no ballot reaches more.
@@ -589,7 +572,7 @@ class Solver:
             children.append(child)
         winners = self._combine(x, ballots, children, m1)
         if self._policy is None:
-            entry = (winners, None, None)
+            entry = (winners, None, None, None)
         else:
             entry = (winners, *self._choose(self._level[x], ballots, children))
         if self.use_memo:
@@ -599,10 +582,10 @@ class Solver:
                 memo[p] = entry
         return entry
 
-    def _settled(self, x: int) -> list:
-        """Entries of the quiescent states where ``x`` moves, by leader.  In
-        such a state no voter still to move confirms a live agent, and the
-        leader wins every SPE.
+    def _settled(self, x: int, after: list) -> list:
+        """Entries of the quiescent states where ``x`` moves, by leader,
+        given ``after``, those one depth on.  In such a state no voter still
+        to move confirms a live agent, and the leader wins every SPE.
 
         By backward induction, a vote for a live agent costs the voter -g
         and can only elect someone it values at level 0, and a vote for a
@@ -612,10 +595,12 @@ class Solver:
         approving ``t`` among those.  The visit order lists those ballots
         first, in canonical order.  They approve no unconfirmed agent, so
         the dead-agent ban never removes them: the entry does not depend on
-        which agents are dead.
+        which agents are dead.  Its ballot approves only agents the mover
+        confirms, all of them dead, so its child is quiescent with the same
+        leader: ``after``'s entry for that leader.
         """
         if self._policy is None:
-            return self._terminal
+            return after
         ballots = self._visit_order[x]
         pick = ballots[0]
         target = self._policy.target
@@ -626,7 +611,7 @@ class Solver:
                 if target in e[0]:
                     pick = e
                     break
-        return [(1 << w, w, pick[0]) for w in range(self.n)]
+        return [(1 << w, w, pick[0], after[w]) for w in range(self.n)]
 
     def _combine(self, x: int, ballots, children, m1: int) -> int:
         """Union of sustainable outcomes at a node, as a bitmask.
@@ -645,18 +630,19 @@ class Solver:
             winners |= child[0] & at_least[(m1 - base + unit - 1) // unit]
         return winners
 
-    def _choose(self, levels: list[int], ballots, children) -> tuple[int, tuple[int, ...]]:
-        """The policy's winner and ballot at a node: the first ballot, in
-        canonical order, maximizing the mover's key at the child's policy
-        winner; ``bias_toward(t)`` prefers a ballot approving ``t`` among
-        the tied ones."""
+    def _choose(self, levels: list[int], ballots, children) -> tuple[int, tuple[int, ...], tuple]:
+        """The policy's winner, ballot and child entry at a node: the first
+        ballot, in canonical order, maximizing the mover's key at the
+        child's policy winner; ``bias_toward(t)`` prefers a ballot approving
+        ``t`` among the tied ones."""
         target = self._policy.target
         best = None
         for (members, base, idx, _delta), child in zip(ballots, children):
             rank = (levels[child[1]] + base, target in members, -idx)
             if best is None or rank > best[0]:
-                best = (rank, child[1], members)
-        return best[1], best[2]
+                best = (rank, members, child)
+        _rank, members, child = best
+        return child[1], members, child
 
 
 class NaiveSizeError(ValueError):

@@ -154,9 +154,6 @@ def check_golden_instances(heavy: bool = True, log: TextIO | None = None) -> Che
     def solve(g, rule, seconds=None):
         return Solver(g, rule, budget=Budget(max_seconds=seconds)).achievable_winners()
 
-    def ratio_of(g, w) -> Fraction | float:
-        return net.ratio(g, w)
-
     t0 = time.monotonic()
 
     g1 = gen_paper_instance(InstanceSpec("example1"))
@@ -210,19 +207,19 @@ def check_golden_instances(heavy: bool = True, log: TextIO | None = None) -> Che
     c3 = agent_index(fig5, "c3")
     expect("fig5 c3 in W", c3 in w, str(_winner_names(fig5, w)))
     if c3 in w:
-        expect("fig5 ratio(c3)=3", ratio_of(fig5, c3) == 3, str(ratio_of(fig5, c3)))
+        expect("fig5 ratio(c3)=3", net.ratio(fig5, c3) == 3, str(net.ratio(fig5, c3)))
     for k in (3, 4):
         gc = gen_paper_instance(InstanceSpec("plurality_chain", k))
         w = solve(gc, PLURALITY, seconds=300)
         ck = agent_index(gc, f"c{k}")
         expect(f"plurality_chain({k}) c{k} in W", ck in w, str(_winner_names(gc, w)))
         if ck in w:
-            r_max = max(ratio_of(gc, a) for a in w)
+            r_max = max(net.ratio(gc, a) for a in w)
             expect(f"plurality_chain({k}) r_max>={k}", r_max >= k, str(r_max))
 
     ka = gen_paper_instance(InstanceSpec("kapproval_chain", 2))
     c3 = agent_index(ka, "c3")
-    expect("kapproval_chain(2) ratio(c3)=3", ratio_of(ka, c3) == 3, str(ratio_of(ka, c3)))
+    expect("kapproval_chain(2) ratio(c3)=3", net.ratio(ka, c3) == 3, str(net.ratio(ka, c3)))
     w = solve(ka, k_approval(2), seconds=1800)
     names = _winner_names(ka, w)
     expect("kapproval_chain(2) W={c1,c2}", names == ["c1", "c2"], str(names))
@@ -232,7 +229,7 @@ def check_golden_instances(heavy: bool = True, log: TextIO | None = None) -> Che
     names = _winner_names(hk, w)
     expect("h_k(2) approval W={c1}", names == ["c1"], str(names))
     if names == ["c1"]:
-        r = ratio_of(hk, agent_index(hk, "c1"))
+        r = net.ratio(hk, agent_index(hk, "c1"))
         expect("h_k(2) ratio(c1)=3/2", r == Fraction(3, 2), str(r))
     w = solve(hk, PLURALITY, seconds=60)
     expect("h_k(2) plurality m in W", agent_index(hk, "m") in w, str(_winner_names(hk, w)))
@@ -247,19 +244,6 @@ def check_golden_instances(heavy: bool = True, log: TextIO | None = None) -> Che
     return CheckResult(
         "golden_instances", not failures, time.monotonic() - t0, " | ".join(detail_parts)
     )
-
-
-def check_golden_experimental(log: TextIO | None = None) -> CheckResult:
-    """Optional heavy extension: h_k(3) under approval (n = 13)."""
-
-    def body() -> tuple[bool, str]:
-        g = gen_paper_instance(InstanceSpec("h_k", 3))
-        w = Solver(g, APPROVAL, budget=Budget(max_seconds=7200)).achievable_winners()
-        names = _winner_names(g, w)
-        _log(log, f"  experimental h_k(3) approval W={names}")
-        return names == ["c1"], f"W={names}"
-
-    return _timed(body, "golden_experimental_h_k3")
 
 
 # -- check 2: oracle equivalence ------------------------------------------------
@@ -561,7 +545,6 @@ def check_determinism(log: TextIO | None = None) -> CheckResult:
 
 def run_all(
     heavy: bool = True,
-    experimental: bool = False,
     log: TextIO | None = None,
 ) -> list[CheckResult]:
     results: list[CheckResult] = []
@@ -583,7 +566,4 @@ def run_all(
     results.append(check_comparator_equivalence(log=log))
     _log(log, "[8/8] determinism")
     results.append(check_determinism(log=log))
-    if experimental:
-        _log(log, "[experimental] h_k(3) approval")
-        results.append(check_golden_experimental(log=log))
     return results
