@@ -19,8 +19,9 @@ of games.  Each game and configuration gives one comparison of:
 The games are the 300 ``oracle_specs()`` games, each also from a mid-game
 state, the first 150 ``plurality_bound_specs()`` games, 150 seeded random
 games with n <= 7 under three rules, and ten catalog games.  It prints
-``comparisons N, mismatches M`` with the first mismatches, and exits 1 if
-there is any.  It takes a few minutes on one core; it is a tool for checking
+``comparisons N, mismatches M`` with the first mismatches and a tally of
+all of them by configuration label (``no-pruning/set/budget 69``, and
+``record`` for fingerprints), and exits 1 if there is any.  It takes a few minutes on one core; it is a tool for checking
 a change to the search core, not part of the test suite.
 """
 
@@ -30,6 +31,7 @@ import importlib
 import random
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 COUNTERS = ("nodes", "cache_hits", "cache_size", "quiescent", "bound_skips", "memo_aliases")
@@ -156,14 +158,17 @@ def main(argv: list[str]) -> int:
         ):
             comparisons += 1
             if a != b:
-                mismatches.append((f"{label}/{config}", a, b))
+                mismatches.append((f"{label}/{config}", config, a, b))
     for (label, a), (_, b) in zip(fingerprints(old), fingerprints(new)):
         comparisons += 1
         if a != b:
-            mismatches.append((label, a, b))
+            mismatches.append((label, "record", a, b))
     print(f"comparisons {comparisons}, mismatches {len(mismatches)}")
-    for label, a, b in mismatches[:10]:
+    for label, _config, a, b in mismatches[:10]:
         print(f"  {label}:\n    old {a}\n    new {b}")
+    if mismatches:
+        tally = Counter(config for _label, config, _a, _b in mismatches)
+        print("by configuration: " + ", ".join(f"{c} {m}" for c, m in tally.most_common()))
     return 1 if mismatches else 0
 
 

@@ -37,22 +37,32 @@ Exact cuts (``use_pruning``), none of which changes a result:
   below ``m1`` so do all later ones, and none of them can add a winner, be
   the threshold, or be a policy's choice.
 
+A node is one pass over its ballots, which also tracks the policy's pick.
+Keys pack as ``level * unit + base`` with ``base < unit``, so ballot ``b``'s
+threshold level ``ceil((m1 - base_b) / unit)`` is ``L = m1 // unit`` if
+``base_b`` is at least the base of the ballot that set ``m1``, else ``L +
+1``; in visit order the first kind is a prefix.  The winners are that
+prefix's child winners at level ``L`` or more, and all children's at ``L +
+1`` or more.
+
 The inner loop works on ints.  A state is one int, ``i * 256**n +
 sum(scores[a] * 256**a)``, and a ballot adds a fixed delta to it (an
 incremental key, after Zobrist 1970).  A parent probes the memo for each
 child with this raw key; on a miss, and when the child is not quiescent,
 with the child's canonical key, which sets all bits of each dead agent's
 digit, and the raw key is stored as an alias of the canonical entry.
-Deadness is monotone, so the parent derives the child's dead agents, key
-vector and canonical key from its own, testing only its live agents; only a
-call's root decodes its scores to find them.  Winner sets are bitmasks,
-turned into frozensets only when a call returns.
+The parent derives the child's dead agents, key vector and canonical key
+from its own: a child's dead mask depends only on its lead key and the
+ballot's member bitmask, through two masks the parent finds once per lead
+key it meets.  Only a call's root decodes its scores.  Winner sets are
+bitmasks, turned into frozensets only when a call returns.
 
-An entry is ``(winners, policy winner, policy ballot, child entry)``: under
-a policy each entry links to the entry of the child its ballot leads to, and
-a quiescent table entry to the same leader's entry one depth on.  The
-selected equilibrium's path is the chain of ballots from the root's entry,
-so it comes out of the one search, under its budget.
+Under a policy an entry is ``(winners, policy winner, policy ballot, child
+entry)``, linking to the entry of the child its ballot leads to, and a
+quiescent table entry to the same leader's entry one depth on; without one
+it is ``(winners,)``.  The selected equilibrium's path is the chain of
+ballots from the root's entry, so it comes out of the one search, under its
+budget.
 """
 
 from __future__ import annotations
@@ -176,8 +186,10 @@ class Solver:
     compare every configuration; both default on, and neither changes any
     result.  ``use_pruning`` covers every exact cut: dead agents in memo keys
     and ballot lists, the quiescent-suffix shortcut and the threat bound.
-    With it off the search is the plain recursion over every legal ballot in
-    canonical order.
+    With it off the search is the plain recursion over every legal ballot,
+    in the same visit order under a bound that never fires, which moves no
+    result and no counter of a completed search; :func:`naive_achievable_winners`
+    stays the canonical-order reference.
 
     A quiescent state is a node and counts in ``quiescent`` wherever it is
     met: a call's root is settled by :meth:`_root`, any other state at its
@@ -230,23 +242,18 @@ class Solver:
         self._pows = [1 << bits * a for a in range(n)]
         self._istep = 1 << bits * n
         self._fills = [((1 << bits) - 1) * w for w in self._pows]
-        # Full canonical ballot lists per voter: (members, base, canonical
-        # index, key delta from a state to its child).
-        self._full_ballots: list[list[tuple[tuple[int, ...], int, int, int]]] = []
+        # Ballot lists per voter in visit order, best bonus first (g
+        # ascending, f descending), canonical order among equals: (members,
+        # member bitmask, base, key delta from a state to its child).
+        self._visit_order: list[list[tuple[tuple[int, ...], int, int, int]]] = []
         for x in range(n):
             entries = []
-            for idx, b in enumerate(legal_ballots(rule, x, n)):
+            for b in legal_ballots(rule, x, n):
                 f, gcnt = assess(g, x, b)
                 members = tuple(sorted(b))
                 delta = self._istep + sum(self._pows[a] for a in members)
-                entries.append((members, (n - gcnt) * radix + f, idx, delta))
-            self._full_ballots.append(entries)
-        # Pruned searches visit ballots best bonus first (g ascending, f
-        # descending), canonical order among equals; the threat bound needs it.
-        self._visit_order = [
-            sorted(entries, key=itemgetter(1), reverse=True)
-            for entries in self._full_ballots
-        ]
+                entries.append((members, sum(1 << a for a in members), (n - gcnt) * radix + f, delta))
+            self._visit_order.append(sorted(entries, key=itemgetter(2), reverse=True))
         self._ballot_cache: dict[tuple[int, int], list] = {}
         self._bits = [1 << a for a in range(n)]
         self._all = (1 << n) - 1
@@ -274,8 +281,7 @@ class Solver:
             [((n - i) - (1 if pos[z] >= i else 0)) * n for z in range(n)]
             for i in range(n + 1)
         ]
-        # Memo entries of terminal states, one per winner.
-        self._terminal = [(1 << w, w, None, None) for w in range(n)]
+        self._fill_of = {0: 0}  # dead-digit fills by dead mask, as met
         self._memo: dict = {}
         self._policy: Policy | None = None
         self.last_stats = SolveStats()
@@ -292,8 +298,9 @@ class Solver:
         self._bound_skips = 0
         self._aliases = 0
         self._max_nodes = self.budget.max_nodes
-        # Entries of quiescent states by depth and leader; depth n: terminal.
-        quiet = [self._terminal]
+        # Entries of quiescent states by depth and leader; depth n: terminal,
+        # each of one slot without a policy.
+        quiet = [[(1 << w,) if policy is None else (1 << w, w, None, None) for w in range(self.n)]]
         for x in reversed(self._order):
             quiet.append(self._settled(x, quiet[-1]))
         self._quiet = quiet[::-1]
@@ -366,12 +373,17 @@ class Solver:
         n = self.n
         vals = [s * n + t for s, t in zip(self._scores(p), self._tb_key)]
         lead = max(vals)
-        dead = fill = 0
-        for v, reach, bit, agent_fill in zip(vals, self._reach[i], self._bits, self._fills):
+        dead = 0
+        for v, reach, bit in zip(vals, self._reach[i], self._bits):
             if v + reach < lead:
                 dead |= bit
-                fill |= agent_fill
-        return dead, vals, lead, fill
+        return dead, vals, lead, self._fill(dead)
+
+    def _fill(self, dead: int) -> int:
+        """The dead-digit fill of dead mask ``dead``, stored in the solver's
+        table, where :meth:`_search` looks it up."""
+        fill = self._fill_of[dead] = sum(f for bit, f in zip(self._bits, self._fills) if dead & bit)
+        return fill
 
     def _ballots_at(self, x: int, dead: int) -> list[tuple[tuple[int, ...], int, int, int]]:
         """Legal ballots for mover ``x`` in visit order, dominated ones pruned.
@@ -387,8 +399,7 @@ class Solver:
         cache_key = (x, banned)
         cached = self._ballot_cache.get(cache_key)
         if cached is None:
-            ban = {a for a in range(self.n) if banned >> a & 1}
-            cached = [e for e in self._visit_order[x] if ban.isdisjoint(e[0])]
+            cached = [e for e in self._visit_order[x] if not e[1] & banned]
             self._ballot_cache[cache_key] = cached
         return cached
 
@@ -456,23 +467,29 @@ class Solver:
         return self._quiet[i][self._leader_of[lead % self.n]]
 
     def _search(self, i: int, p: int, known=None):
-        """Entry of state ``p``, searched; no probe has found it.
+        """Entry of state ``p``, searched; no probe has found it.  One pass
+        over the ballots, in visit order, finds every child entry, the
+        winners and the policy's pick.
 
         With pruning, a parent settles each child that misses the memo
-        itself when the child is terminal or quiescent, from the parent's
-        own scores: deadness is monotone, so the child is quiescent when
-        every live agent that a later voter confirms is dead in it.  For any
-        other child it derives ``known``: the child's dead mask, its
-        ``votes * n + precedence`` keys, its leader's key and its dead-digit
-        fill, testing only the parent's live agents.  It probes the memo
-        with the canonical key ``q | fill`` and calls this method, with
-        ``known``, only on a miss, so a call neither decodes its scores nor
-        probes the memo again.  :meth:`_root` gives a call's root its
-        ``known``.  Without pruning ``known`` is None and unused.
+        itself when the child is terminal or quiescent.  For any other child
+        it derives ``known`` (the child's dead mask, ``votes * n +
+        precedence`` keys, lead key and dead-digit fill), probes the memo
+        with the canonical key ``q | fill`` and calls this method with
+        ``known`` only on a miss.  :meth:`_root` gives a call's root its
+        ``known``; without pruning it is None and unused.
+
+        A child's lead key ``top`` is the parent's, or a member's key after
+        the vote if larger, so ballots approving the same contenders share
+        it.  For each ``top`` met, the node finds once the agents that trail
+        it with every vote still to come in the child, without this
+        ballot's (``d0``) and with it (``d1``).  The child's dead mask is
+        ``d1 | d0 & ~bmask``, exactly what it would find from scratch, and
+        it is quiescent when every agent a later voter confirms is dead.
         """
         n = self.n
         if i == n:
-            return self._terminal[self._leader(p)]
+            return self._quiet[n][self._leader(p)]
         self._nodes += 1
         if self._nodes >= self._check_at:
             self._check()
@@ -489,32 +506,29 @@ class Solver:
             bound = self._unit * (2 if live >> x & 1 else 1 if live & self._conf_mask[x] else 0)
             settle = self._quiet[i + 1]
             nonterminal = i + 1 < n  # a settled terminal child is not a node
-            # Each live agent with its digit, bit and fill, and its key plus
-            # the reach it keeps in a child, not counting this ballot's vote.
-            # It is dead in the child when that, plus the ballot's vote,
-            # falls below the child's lead key.  The child is quiescent once
-            # every watched one, confirmed by a later voter, is dead.
+            watch = self._later_conf[i + 1]
             reach = self._reach[i + 1]
-            lives = [
-                (self._pows[a], vals[a] + reach[a], self._bits[a], self._fills[a])
-                for a in range(n)
-                if live >> a & 1
-            ]
-            watch = live & self._later_conf[i + 1]
-            watched = [(digit, chance) for digit, chance, bit, _ in lives if watch & bit]
-            raised = [v + n for v in vals]  # each agent's key after a vote
-            leader_of = self._leader_of
+            bits = self._bits
+            fill_of = self._fill_of
+            # Agents whose key after a vote passes the lead.
+            contenders = sum([bit for v, bit in zip(vals, bits) if v + n > lead])
+            tops = {}  # (top, d0, d1, settled entry) by the ballot's contenders
         else:
-            ballots = self._full_ballots[x]
+            ballots = self._visit_order[x]
             bound = self._no_bound
         unit = self._unit
         low = self._unconf[x]
         conf = self._conf_mask[x]
         search = self._search
         lookup = memo.get  # the memo stays empty when it is off
-        children = []  # child entries of the visited ballots, a prefix
-        m1 = -1  # the largest worst key so far
-        for k, (members, base, idx, delta) in enumerate(ballots):
+        policy = self._policy
+        if policy is not None:
+            levels = self._level[x]
+            shift = n if policy.target is None else policy.target  # bmask >> shift & 1: approves it
+            best = -1
+        acc = pre = 0  # winners of the children so far; of those at m1's base or above
+        m1 = m1_base = -1  # the largest worst key so far, and the base of its ballot
+        for k, (members, bmask, base, delta) in enumerate(ballots):
             if bound + base < m1:
                 # Threat bound: bases only fall from here on, so no outcome
                 # of this or any later ballot can reach m1.
@@ -530,26 +544,33 @@ class Solver:
             elif settle is None:
                 child = search(i + 1, q)
             else:
-                top = lead  # the child's lead key
-                for a in members:
-                    if raised[a] > top:
-                        top = raised[a]
-                for digit, chance in watched:
-                    if chance + (n if delta & digit else 0) >= top:
-                        break  # a live agent still has a chance
-                else:
-                    child = settle[leader_of[top % n]]
+                facts = tops.get(bmask & contenders)
+                if facts is None:
+                    top = lead
+                    for a in members:
+                        if vals[a] + n > top:
+                            top = vals[a] + n
+                    d0 = d1 = 0
+                    for v, r, bit in zip(vals, reach, bits):
+                        if v + r < top:
+                            d0 |= bit
+                            if v + r + n < top:
+                                d1 |= bit
+                    facts = (top, d0, d1, settle[self._leader_of[top % n]])
+                    tops[bmask & contenders] = facts
+                top, d0, d1, quiet = facts
+                child_dead = d1 | d0 & ~bmask
+                if not watch & ~child_dead:
+                    child = quiet
                     if nonterminal:
                         self._nodes += 1
                         if self._nodes >= self._check_at:
                             self._check()
                         self._quiescent += 1
-                if child is None:
-                    child_dead, child_fill = dead, fill
-                    for digit, chance, bit, agent_fill in lives:
-                        if chance + (n if delta & digit else 0) < top:
-                            child_dead |= bit
-                            child_fill |= agent_fill
+                else:
+                    child_fill = fill_of.get(child_dead)
+                    if child_fill is None:
+                        child_fill = self._fill(child_dead)
                     if child_fill:
                         child = lookup(q | child_fill)
                     if child is not None:  # a canonical hit: a node, a hit and an alias
@@ -562,19 +583,30 @@ class Solver:
                     else:
                         child_vals = vals.copy()
                         for a in members:
-                            child_vals[a] = raised[a]
+                            child_vals[a] += n
                         child = search(i + 1, q, (child_dead, child_vals, top, child_fill))
             # The mover's worst key over the child's winners.
             mask = child[0]
             worst = base + (0 if mask & low else unit if mask & conf else 2 * unit)
+            acc |= mask
             if worst > m1:
-                m1 = worst
-            children.append(child)
-        winners = self._combine(x, ballots, children, m1)
-        if self._policy is None:
-            entry = (winners, None, None, None)
-        else:
-            entry = (winners, *self._choose(self._level[x], ballots, children))
+                m1, m1_base, pre = worst, base, acc
+            elif base == m1_base:
+                pre |= mask
+            if policy is not None:
+                # The first of the best: tied ballots share a base, and the
+                # visit order keeps canonical order within a base.
+                rank = (levels[child[1]] + base) * 2 + (bmask >> shift & 1)
+                if rank > best:
+                    best, pick, picked = rank, members, child
+        # m1 serves as every ballot's threshold, its own worst key included,
+        # which all its winners reach: a child's winners at level
+        # ceil((m1 - base) / unit) or more count, L = m1 // unit at m1's base
+        # or above and L + 1 below.
+        at_least = self._at_least[x]
+        level = m1 // unit
+        winners = pre & at_least[level] | acc & at_least[level + 1]
+        entry = (winners,) if policy is None else (winners, picked[1], pick, picked)
         if self.use_memo:
             memo[key] = entry
             if key != p:
@@ -590,10 +622,9 @@ class Solver:
         By backward induction, a vote for a live agent costs the voter -g
         and can only elect someone it values at level 0, and a vote for a
         dead agent changes no winner.  Under a policy the mover casts what
-        :meth:`_choose` would pick: the first ballot, in canonical order,
-        maximizing ``(-g, f)``, and ``bias_toward(t)`` prefers one
-        approving ``t`` among those.  The visit order lists those ballots
-        first, in canonical order.  They approve no unconfirmed agent, so
+        :meth:`_search` would pick: the first ballot in visit order, which
+        maximizes ``(-g, f)``, or under ``bias_toward(t)`` the first of
+        those approving ``t``.  They approve no unconfirmed agent, so
         the dead-agent ban never removes them: the entry does not depend on
         which agents are dead.  Its ballot approves only agents the mover
         confirms, all of them dead, so its child is quiescent with the same
@@ -606,43 +637,12 @@ class Solver:
         target = self._policy.target
         if target is not None:
             for e in ballots:
-                if e[1] != pick[1]:
+                if e[2] != pick[2]:
                     break
-                if target in e[0]:
+                if e[1] >> target & 1:
                     pick = e
                     break
         return [(1 << w, w, pick[0], after[w]) for w in range(self.n)]
-
-    def _combine(self, x: int, ballots, children, m1: int) -> int:
-        """Union of sustainable outcomes at a node, as a bitmask.
-
-        Outcome ``w`` of ballot ``b`` is sustainable when the mover weakly
-        prefers it to the worst outcome of every other ballot.  The largest
-        worst key ``m1`` can serve as the threshold for every ballot, its own
-        included: every ``w`` in ``C_b`` has key at least ``b``'s worst key.
-        So ``b`` contributes its winners whose level is at least
-        ``ceil((m1 - base) / unit)``, which lies in 0..3.
-        """
-        at_least = self._at_least[x]
-        unit = self._unit
-        winners = 0
-        for (_members, base, _idx, _delta), child in zip(ballots, children):
-            winners |= child[0] & at_least[(m1 - base + unit - 1) // unit]
-        return winners
-
-    def _choose(self, levels: list[int], ballots, children) -> tuple[int, tuple[int, ...], tuple]:
-        """The policy's winner, ballot and child entry at a node: the first
-        ballot, in canonical order, maximizing the mover's key at the
-        child's policy winner; ``bias_toward(t)`` prefers a ballot approving
-        ``t`` among the tied ones."""
-        target = self._policy.target
-        best = None
-        for (members, base, idx, _delta), child in zip(ballots, children):
-            rank = (levels[child[1]] + base, target in members, -idx)
-            if best is None or rank > best[0]:
-                best = (rank, members, child)
-        _rank, members, child = best
-        return child[1], members, child
 
 
 class NaiveSizeError(ValueError):

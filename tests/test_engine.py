@@ -106,19 +106,23 @@ def test_memo_and_pruning_do_not_change_results():
     assert stats["quiescent"] == 0 and stats["bound_skips"] == 0
 
 
-# (name, k, rule, policy) and the search's counters: nodes, cache_hits,
-# cache_size, quiescent, bound_skips, memo_aliases.
+# (name, k, rule, policy, use_pruning) and the search's counters: nodes,
+# cache_hits, cache_size, quiescent, bound_skips, memo_aliases.
 PINNED = [
-    ("plurality_chain", 4, PLURALITY, None, (4432, 496, 432, 3504, 321, 0)),
-    ("h_k", 2, APPROVAL, Policy.canonical(), (294514, 180292, 9165, 105057, 102967, 18257)),
-    ("kapproval_chain", 2, k_approval(2), None, (31102, 1190, 774, 29138, 4503, 0)),
-    ("kapproval_chain", 1, k_approval(2), Policy.bias_toward(5), (4254, 228, 225, 3801, 697, 0)),
+    ("plurality_chain", 4, PLURALITY, None, True, (4432, 496, 432, 3504, 321, 0)),
+    ("h_k", 2, APPROVAL, Policy.canonical(), True, (294514, 180292, 9165, 105057, 102967, 18257)),
+    ("kapproval_chain", 2, k_approval(2), None, True, (31102, 1190, 774, 29138, 4503, 0)),
+    ("kapproval_chain", 1, k_approval(2), Policy.bias_toward(5), True, (4254, 228, 225, 3801, 697, 0)),
+    ("plurality_chain", 3, PLURALITY, Policy.canonical(), False, (39873, 28461, 11412, 0, 0, 0)),
+    ("example1", None, APPROVAL, Policy.canonical(), False, (8913, 7076, 1837, 0, 0, 0)),
 ]
 PINNED_IDS = [
     "plurality_chain(4)",
     "h_k(2)-approval-canonical",
     "kapproval_chain(2)-2-approval",
     "kapproval_chain(1)-2-approval-bias",
+    "plurality_chain(3)-canonical-no-pruning",
+    "example1-approval-canonical-no-pruning",
 ]
 COUNTERS = ("nodes", "cache_hits", "cache_size", "quiescent", "bound_skips", "memo_aliases")
 
@@ -127,32 +131,35 @@ def counters_of(stats):
     return tuple(stats.as_dict()[key] for key in COUNTERS)
 
 
-@pytest.mark.parametrize("name,k,rule,policy,expected", PINNED, ids=PINNED_IDS)
-def test_searched_tree_is_pinned(name, k, rule, policy, expected):
-    """The search's counters on four catalog games.  A change to the search
-    core that speeds it up without changing the tree it searches keeps them;
-    one that changes the tree must say so here."""
-    solver = Solver(gen_paper_instance(InstanceSpec(name, k)), rule)
+@pytest.mark.parametrize("name,k,rule,policy,pruning,expected", PINNED, ids=PINNED_IDS)
+def test_searched_tree_is_pinned(name, k, rule, policy, pruning, expected):
+    """The search's counters on six catalog games, two with pruning off.  A
+    change to the search core that speeds it up without changing the tree it
+    searches keeps them; one that changes the tree must say so here.  The
+    order a completed search visits ballots in moves none of them."""
+    solver = Solver(gen_paper_instance(InstanceSpec(name, k)), rule, use_pruning=pruning)
     solver.solve(policy=policy)
     assert counters_of(solver.last_stats) == expected
 
 
-@pytest.mark.parametrize("name,k,rule,policy,expected", PINNED, ids=PINNED_IDS)
-def test_node_budget_and_clock_on_the_pinned_games(monkeypatch, name, k, rule, policy, expected):
+@pytest.mark.parametrize("name,k,rule,policy,pruning,expected", PINNED, ids=PINNED_IDS)
+def test_node_budget_and_clock_on_the_pinned_games(
+    monkeypatch, name, k, rule, policy, pruning, expected
+):
     """A node budget of exactly a search's nodes lets it finish with the same
     answer and counters; one node less stops it at that node.  A time budget
     reads the clock on node 1 and every 1024th node after it."""
     g = gen_paper_instance(InstanceSpec(name, k))
     nodes = expected[0]
-    answer = Solver(g, rule).solve(policy=policy)
-    exact = Solver(g, rule, budget=Budget(max_nodes=nodes))
+    answer = Solver(g, rule, use_pruning=pruning).solve(policy=policy)
+    exact = Solver(g, rule, use_pruning=pruning, budget=Budget(max_nodes=nodes))
     assert exact.solve(policy=policy) == answer
     assert counters_of(exact.last_stats) == expected
-    short = Solver(g, rule, budget=Budget(max_nodes=nodes - 1))
+    short = Solver(g, rule, use_pruning=pruning, budget=Budget(max_nodes=nodes - 1))
     with pytest.raises(BudgetExceededError, match=f"node budget of {nodes - 1} exceeded") as exc_info:
         short.solve(policy=policy)
     assert exc_info.value.stats.nodes == nodes
-    timed = Solver(g, rule, budget=Budget(max_seconds=float("inf")))
+    timed = Solver(g, rule, use_pruning=pruning, budget=Budget(max_seconds=float("inf")))
     reads = []  # the node count at each clock read
     monkeypatch.setattr(
         engine, "time", SimpleNamespace(monotonic=lambda: reads.append(timed._nodes) or 0.0)
@@ -288,7 +295,7 @@ def test_solving_from_a_quiescent_or_last_voter_state(name, k, rule, i, scores, 
         assert (stats.nodes, stats.quiescent) == (int(i < g.n), quiescent)
 
 
-def test_reuse_cache_call_has_its_own_node_budget():
+def test_each_call_has_its_own_node_budget():
     g = example2()
     probe = Solver(g, APPROVAL)
     probe.achievable_winners()
@@ -299,7 +306,7 @@ def test_reuse_cache_call_has_its_own_node_budget():
     assert s.last_stats.nodes == probe.last_stats.nodes
 
 
-def test_reuse_cache_call_has_its_own_deadline_and_clock(monkeypatch):
+def test_each_call_has_its_own_deadline_and_clock(monkeypatch):
     clock = [100.0]
     monkeypatch.setattr(engine, "time", SimpleNamespace(monotonic=lambda: clock[0]))
     g = example2()
