@@ -485,7 +485,9 @@ class Solver:
         it with every vote still to come in the child, without this
         ballot's (``d0``) and with it (``d1``).  The child's dead mask is
         ``d1 | d0 & ~bmask``, exactly what it would find from scratch, and
-        it is quiescent when every agent a later voter confirms is dead.
+        it is quiescent when every agent a later voter confirms is dead.  A
+        terminal child is never probed, and where no later voter confirms
+        anyone every child needs only its leader, not the masks.
         """
         n = self.n
         if i == n:
@@ -497,6 +499,7 @@ class Solver:
         x = self._order[i]
         key = p
         settle = None  # entries of settled children by leader; None: search every child
+        nonterminal = i + 1 < n  # terminal children are never stored, nor settled as nodes
         if self.use_pruning:
             dead, vals, lead, fill = known
             live = self._all ^ dead
@@ -505,7 +508,6 @@ class Solver:
             # The mover's best level over live agents: no ballot reaches more.
             bound = self._unit * (2 if live >> x & 1 else 1 if live & self._conf_mask[x] else 0)
             settle = self._quiet[i + 1]
-            nonterminal = i + 1 < n  # a settled terminal child is not a node
             watch = self._later_conf[i + 1]
             reach = self._reach[i + 1]
             bits = self._bits
@@ -535,7 +537,7 @@ class Solver:
                 self._bound_skips += len(ballots) - k
                 break
             q = p + delta
-            child = lookup(q)
+            child = lookup(q) if nonterminal else None
             if child is not None:  # a raw-key hit is a node and a memo hit
                 self._nodes += 1
                 if self._nodes >= self._check_at:
@@ -551,11 +553,12 @@ class Solver:
                         if vals[a] + n > top:
                             top = vals[a] + n
                     d0 = d1 = 0
-                    for v, r, bit in zip(vals, reach, bits):
-                        if v + r < top:
-                            d0 |= bit
-                            if v + r + n < top:
-                                d1 |= bit
+                    if watch:  # else every child is quiescent or terminal
+                        for v, r, bit in zip(vals, reach, bits):
+                            if v + r < top:
+                                d0 |= bit
+                                if v + r + n < top:
+                                    d1 |= bit
                     facts = (top, d0, d1, settle[self._leader_of[top % n]])
                     tops[bmask & contenders] = facts
                 top, d0, d1, quiet = facts
