@@ -19,10 +19,26 @@ of games.  Each game and configuration gives one comparison of:
 The games are the 300 ``oracle_specs()`` games, each also from a mid-game
 state, the first 150 ``plurality_bound_specs()`` games, 150 seeded random
 games with n <= 7 under three rules, and ten catalog games.  It prints
-``comparisons N, mismatches M`` with the first mismatches and a tally of
-all of them by configuration label (``no-pruning/set/budget 69``, and
-``record`` for fingerprints), and exits 1 if there is any.  It takes a few minutes on one core; it is a tool for checking
-a change to the search core, not part of the test suite.
+``comparisons N, mismatches M`` with the first mismatches, the gravest kind
+first (see below), and a tally of all of them by configuration label
+(``no-pruning/set/budget 69``, and ``record`` for fingerprints), and exits
+1 if there is any.
+
+The budget stops sit at a third of each tree's own node count, so a change
+that shrinks the tree moves every one of them, and counters move wherever
+a search meets a smaller tree.  The mismatches are also split by kind, so
+those do not hide a moved result:
+
+- ``results``: both searches completed and their winner sets, policy
+  winners or paths differ;
+- ``fingerprints``: run-record fingerprints differ;
+- ``counters only``: both completed with the same result, other counters;
+- ``budget stops``: at least one of the two searches stopped on its budget;
+- ``grown``: completed searches (of any configuration, matched or not)
+  whose ``nodes`` or ``cache_size`` is larger in ``NEW_TREE``.
+
+It takes a few minutes on one core; it is a tool for checking a change to
+the search core, not part of the test suite.
 """
 
 from __future__ import annotations
@@ -35,6 +51,8 @@ from collections import Counter
 from pathlib import Path
 
 COUNTERS = ("nodes", "cache_hits", "cache_size", "quiescent", "bound_skips", "memo_aliases")
+KINDS = ("results", "fingerprints", "counters only", "budget stops")  # of mismatch, gravest first
+GROWTH = (COUNTERS.index("nodes"), COUNTERS.index("cache_size"))  # must not grow
 SMALL_N = 4  # games this small also run with the memo and/or pruning off
 
 
@@ -141,6 +159,15 @@ def fingerprints(sv):
             yield f"record/{record.instance}/{rule.label()}/{pruning}", sv.verify.record_fingerprint(record)
 
 
+def kind(config: str, a: tuple, b: tuple) -> str:
+    """The kind of a mismatch between outcomes ``a`` (old) and ``b`` (new)."""
+    if config == "record":
+        return "fingerprints"
+    if a[0] == "budget" or b[0] == "budget":
+        return "budget stops"
+    return "results" if a[1] != b[1] else "counters only"
+
+
 def main(argv: list[str]) -> int:
     if not 2 <= len(argv) <= 3:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -148,7 +175,7 @@ def main(argv: list[str]) -> int:
     old_tree = Path(argv[1]).resolve()
     new_tree = Path(argv[2]).resolve() if len(argv) == 3 else Path(__file__).resolve().parents[1]
     old, new = load(old_tree, "seqvote_old"), load(new_tree, "seqvote_new")
-    comparisons = 0
+    comparisons = completed = grown = 0
     mismatches = []
     for (label, g_old, rule_old, state_old), (_, g_new, rule_new, state_new) in zip(
         games(old), games(new)
@@ -157,6 +184,9 @@ def main(argv: list[str]) -> int:
             runs(old, g_old, rule_old, state_old), runs(new, g_new, rule_new, state_new)
         ):
             comparisons += 1
+            if a[0] == b[0] == "ok":
+                completed += 1
+                grown += any(b[2][j] > a[2][j] for j in GROWTH)
             if a != b:
                 mismatches.append((f"{label}/{config}", config, a, b))
     for (label, a), (_, b) in zip(fingerprints(old), fingerprints(new)):
@@ -164,11 +194,15 @@ def main(argv: list[str]) -> int:
         if a != b:
             mismatches.append((label, "record", a, b))
     print(f"comparisons {comparisons}, mismatches {len(mismatches)}")
+    mismatches.sort(key=lambda m: KINDS.index(kind(m[1], m[2], m[3])))  # gravest first
     for label, _config, a, b in mismatches[:10]:
         print(f"  {label}:\n    old {a}\n    new {b}")
     if mismatches:
         tally = Counter(config for _label, config, _a, _b in mismatches)
         print("by configuration: " + ", ".join(f"{c} {m}" for c, m in tally.most_common()))
+    kinds = Counter(kind(config, a, b) for _label, config, a, b in mismatches)
+    print(", ".join(f"{k} {kinds[k]}" for k in KINDS))
+    print(f"completed searches {completed}, grown {grown}")
     return 1 if mismatches else 0
 
 
