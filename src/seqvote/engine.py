@@ -49,9 +49,15 @@ The inner loop works on ints.  A state is one int, ``i * 256**n +
 sum(scores[a] * 256**a)``, and a ballot adds a fixed delta to it (an
 incremental key, after Zobrist 1970).  A parent probes the memo for each
 child with this raw key; on a miss, and when the child is not quiescent,
-with the child's canonical key, which sets all bits of each dead agent's
-digit, and the raw key is stored as an alias of the canonical entry.
-The parent derives the child's dead agents, key vector and canonical key
+with the child's canonical key, and the raw key is stored as an alias of
+the canonical entry.  The canonical key sets all bits of each dead agent's
+digit, a value no score reaches, and gives live agent ``z`` the digit
+``s_z - S + R``, with ``S`` the leader's score and ``R`` the voters still to
+move: ``z`` trails the leader by at most ``R``, so no digit borrows or
+overflows.  It is exact, because the leader wins under a fixed tie-break:
+votes added to every live agent alike change no continuation's winner, no
+deadness and no preference key.  A key with no dead agents may equal a
+translated twin's raw key, which is the same class.  The parent derives the child's dead agents, key vector and canonical key
 from its own: a child's dead mask depends only on its lead key and the
 ballot's member bitmask, through two masks the parent finds once per lead
 key it meets.  Only a call's root decodes its scores.  Winner sets are
@@ -198,7 +204,8 @@ class Solver:
     The memo also keeps raw state keys as aliases of canonical entries.  A
     hit on an alias is a memo hit and a node, as a canonical hit is, so
     counters and budgets are those of a memo without aliases; ``cache_size``
-    counts canonical entries and ``memo_aliases`` the raw keys stored.  Both
+    counts canonical entries and ``memo_aliases`` the raw keys stored, in
+    games with no dead agents too, since canonical keys translate.  Both
     probes of a child happen at its parent, so a canonical hit, like a
     settled child, costs no call.
 
@@ -281,7 +288,8 @@ class Solver:
             [((n - i) - (1 if pos[z] >= i else 0)) * n for z in range(n)]
             for i in range(n + 1)
         ]
-        self._fill_of = {0: 0}  # dead-digit fills by dead mask, as met
+        # (dead-digit fill, ones of the live digits) by dead mask, as met.
+        self._canon_of = {0: (0, sum(self._pows))}
         self._memo: dict = {}
         self._policy: Policy | None = None
         self.last_stats = SolveStats()
@@ -359,16 +367,14 @@ class Solver:
     def _known(self, i: int, p: int) -> tuple[int, list[int], int, int]:
         """What :meth:`_search` is given about state ``p``: the bitmask of
         agents that can no longer win, every agent's ``votes * n +
-        precedence`` key, the leader's key and the dead-digit fill.
+        precedence`` key, the leader's key and the canonical memo key.
 
         The leader is ``winner(scores)``, the agent of the largest key.
         ``z`` is dead when, given every vote it can still receive, it still
         trails the leader: fewer votes, or as many and later in the
-        tie-breaking order.  The fill sets every bit of each dead agent's
-        digit, a value no score reaches; ``p | fill`` is the canonical memo
-        key.  Deadness is monotone along play and depends only on live
-        agents' scores, so this runs only at a call's root; a parent derives
-        every other state's from its own.
+        tie-breaking order.  Deadness is monotone along play and depends
+        only on live agents' scores, so this runs only at a call's root; a
+        parent derives every other state's from its own.
         """
         n = self.n
         vals = [s * n + t for s, t in zip(self._scores(p), self._tb_key)]
@@ -377,13 +383,18 @@ class Solver:
         for v, reach, bit in zip(vals, self._reach[i], self._bits):
             if v + reach < lead:
                 dead |= bit
-        return dead, vals, lead, self._fill(dead)
+        fill, live = self._canon(dead)
+        return dead, vals, lead, p + (n - i - lead // n) * live | fill
 
-    def _fill(self, dead: int) -> int:
-        """The dead-digit fill of dead mask ``dead``, stored in the solver's
-        table, where :meth:`_search` looks it up."""
-        fill = self._fill_of[dead] = sum(f for bit, f in zip(self._bits, self._fills) if dead & bit)
-        return fill
+    def _canon(self, dead: int) -> tuple[int, int]:
+        """The dead-digit fill of dead mask ``dead`` and the ones of its live
+        digits, stored in the solver's table, where :meth:`_search` looks
+        them up.  The canonical key of a state with ``R`` voters to move and
+        leader score ``S`` is ``p + (R - S) * live | fill``."""
+        fill = sum(f for bit, f in zip(self._bits, self._fills) if dead & bit)
+        live = sum(w for bit, w in zip(self._bits, self._pows) if not dead & bit)
+        self._canon_of[dead] = fill, live
+        return fill, live
 
     def _ballots_at(self, x: int, dead: int) -> list[tuple[tuple[int, ...], int, int, int]]:
         """Legal ballots for mover ``x`` in visit order, dominated ones pruned.
@@ -457,7 +468,7 @@ class Solver:
         if not self.use_pruning or i == self.n:
             return self._search(i, p)
         known = self._known(i, p)
-        dead, _vals, lead, _fill = known
+        dead, _vals, lead, _key = known
         if (self._all ^ dead) & self._later_conf[i]:
             return self._search(i, p, known)
         self._nodes += 1
@@ -474,9 +485,9 @@ class Solver:
         With pruning, a parent settles each child that misses the memo
         itself when the child is terminal or quiescent.  For any other child
         it derives ``known`` (the child's dead mask, ``votes * n +
-        precedence`` keys, lead key and dead-digit fill), probes the memo
-        with the canonical key ``q | fill`` and calls this method with
-        ``known`` only on a miss.  :meth:`_root` gives a call's root its
+        precedence`` keys, lead key and canonical key), probes the memo
+        with the canonical key and calls this method with ``known`` only on
+        a miss.  :meth:`_root` gives a call's root its
         ``known``; without pruning it is None and unused.
 
         A child's lead key ``top`` is the parent's, or a member's key after
@@ -501,9 +512,8 @@ class Solver:
         settle = None  # entries of settled children by leader; None: search every child
         nonterminal = i + 1 < n  # terminal children are never stored, nor settled as nodes
         if self.use_pruning:
-            dead, vals, lead, fill = known
+            dead, vals, lead, key = known
             live = self._all ^ dead
-            key = p | fill
             ballots = self._ballots_at(x, dead)
             # The mover's best level over live agents: no ballot reaches more.
             bound = self._unit * (2 if live >> x & 1 else 1 if live & self._conf_mask[x] else 0)
@@ -511,10 +521,11 @@ class Solver:
             watch = self._later_conf[i + 1]
             reach = self._reach[i + 1]
             bits = self._bits
-            fill_of = self._fill_of
+            canon_of = self._canon_of
+            togo = n - i - 1  # voters to move in a child
             # Agents whose key after a vote passes the lead.
             contenders = sum([bit for v, bit in zip(vals, bits) if v + n > lead])
-            tops = {}  # (top, d0, d1, settled entry) by the ballot's contenders
+            tops = {}  # (top, d0, d1, settled entry, key offset) by the ballot's contenders
         else:
             ballots = self._visit_order[x]
             bound = self._no_bound
@@ -559,9 +570,9 @@ class Solver:
                                 d0 |= bit
                                 if v + r + n < top:
                                     d1 |= bit
-                    facts = (top, d0, d1, settle[self._leader_of[top % n]])
+                    facts = (top, d0, d1, settle[self._leader_of[top % n]], togo - top // n)
                     tops[bmask & contenders] = facts
-                top, d0, d1, quiet = facts
+                top, d0, d1, quiet, offset = facts
                 child_dead = d1 | d0 & ~bmask
                 if not watch & ~child_dead:
                     child = quiet
@@ -571,11 +582,10 @@ class Solver:
                             self._check()
                         self._quiescent += 1
                 else:
-                    child_fill = fill_of.get(child_dead)
-                    if child_fill is None:
-                        child_fill = self._fill(child_dead)
-                    if child_fill:
-                        child = lookup(q | child_fill)
+                    fill, ones = canon_of.get(child_dead) or self._canon(child_dead)
+                    canon = q + offset * ones | fill
+                    if canon != q:
+                        child = lookup(canon)
                     if child is not None:  # a canonical hit: a node, a hit and an alias
                         self._nodes += 1
                         if self._nodes >= self._check_at:
@@ -587,7 +597,7 @@ class Solver:
                         child_vals = vals.copy()
                         for a in members:
                             child_vals[a] += n
-                        child = search(i + 1, q, (child_dead, child_vals, top, child_fill))
+                        child = search(i + 1, q, (child_dead, child_vals, top, canon))
             # The mover's worst key over the child's winners.
             mask = child[0]
             worst = base + (0 if mask & low else unit if mask & conf else 2 * unit)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqvote import engine
-from seqvote.balloting import APPROVAL, PLURALITY, k_approval, legal_ballots
+from seqvote.balloting import APPROVAL, PLURALITY, apply_ballot, k_approval, legal_ballots
+from seqvote.balloting import winner as elect
 from seqvote.engine import (
     Budget,
     BudgetExceededError,
@@ -109,10 +110,10 @@ def test_memo_and_pruning_do_not_change_results():
 # (name, k, rule, policy, use_pruning) and the search's counters: nodes,
 # cache_hits, cache_size, quiescent, bound_skips, memo_aliases.
 PINNED = [
-    ("plurality_chain", 4, PLURALITY, None, True, (4432, 496, 432, 3504, 321, 0)),
-    ("h_k", 2, APPROVAL, Policy.canonical(), True, (294514, 180292, 9165, 105057, 102967, 18257)),
-    ("kapproval_chain", 2, k_approval(2), None, True, (31102, 1190, 774, 29138, 4503, 0)),
-    ("kapproval_chain", 1, k_approval(2), Policy.bias_toward(5), True, (4254, 228, 225, 3801, 697, 0)),
+    ("plurality_chain", 4, PLURALITY, None, True, (4432, 496, 432, 3504, 321, 432)),
+    ("h_k", 2, APPROVAL, Policy.canonical(), True, (238985, 155801, 7031, 76153, 72798, 19160)),
+    ("kapproval_chain", 2, k_approval(2), None, True, (31102, 1190, 774, 29138, 4503, 774)),
+    ("kapproval_chain", 1, k_approval(2), Policy.bias_toward(5), True, (4254, 228, 225, 3801, 697, 225)),
     ("plurality_chain", 3, PLURALITY, Policy.canonical(), False, (39873, 28461, 11412, 0, 0, 0)),
     ("example1", None, APPROVAL, Policy.canonical(), False, (8913, 7076, 1837, 0, 0, 0)),
 ]
@@ -171,7 +172,7 @@ def test_node_budget_and_clock_on_the_pinned_games(
 
 class KnownCheckingSolver(Solver):
     """Checks that what a parent derives for a child, its dead mask, keys,
-    lead key and dead-digit fill, is what the child finds from scratch."""
+    lead key and canonical memo key, is what the child finds from scratch."""
 
     checked = 0
 
@@ -188,7 +189,7 @@ def test_a_parent_derives_what_its_child_would_find():
     small = [(gen_random(spec), rule) for spec, rule in oracle_specs()]
     large = [
         (gen_random(RandomSpec(n=n, p=p, max_out=None, seed=seed0 + j)), rule)
-        for n, rule, seed0 in ((6, APPROVAL, 8100), (7, PLURALITY, 8200))
+        for n, rule, seed0 in ((6, APPROVAL, 8100), (7, PLURALITY, 8200), (6, APPROVAL, 8300))
         for j, p in enumerate((0.15, 0.3, 0.5, 0.75))
     ]
     checked = 0
@@ -199,6 +200,67 @@ def test_a_parent_derives_what_its_child_would_find():
                 solver.policy_spe(Policy.canonical())
                 checked += solver.checked
     assert checked >= 39_348
+
+
+def live_agents(g, i, scores):
+    """The agents that can still win from ``(i, scores)``: given a vote from
+    every voter still to move but itself, an agent passes the leader's
+    score, or ties it and comes first in tie-break order."""
+    rank = {a: r for r, a in enumerate(g.tiebreak_order)}
+    leader = elect(scores, g.tiebreak_order)
+    later = g.voting_order[i:]
+    return {
+        z
+        for z in range(g.n)
+        if (scores[z] + len(later) - (z in later), -rank[z]) >= (scores[leader], -rank[leader])
+    }
+
+
+def test_translated_live_scores_give_the_same_equilibria():
+    """A subgame depends only on which agents are live and on the
+    differences between their scores.  Mid-game states are built as
+    scripts/compare_search.py builds them, on the oracle games and on n = 6
+    approval and n = 7 plurality games.  Each state's twin moves every live
+    agent's score by +1 or -1, where that leaves a valid state with the same
+    live agents.  The two share a canonical memo key, and solved by fresh
+    solvers, memo on and off, under every kind of policy, all four give the
+    same answer."""
+    specs = oracle_specs() + [
+        (RandomSpec(n=n, p=p, max_out=None, seed=seed0 + j), rule)
+        for n, rule, seed0 in ((6, APPROVAL, 8500), (7, PLURALITY, 8600))
+        for j, p in enumerate((0.15, 0.3, 0.5, 0.75))
+    ]
+    twins = 0
+    for spec, rule in specs:
+        g = gen_random(spec)
+        rng = random.Random(spec.seed)
+        scores = (0,) * g.n
+        i = g.n // 2 + 1
+        for voter in g.voting_order[:i]:
+            scores = apply_ballot(scores, rng.choice(legal_ballots(rule, voter, g.n)))
+        live = live_agents(g, i, scores)
+        for step in (1, -1):
+            twin = tuple(s + step if z in live else s for z, s in enumerate(scores))
+            try:
+                SubgameState(i, twin).validate(g.n)
+            except ValueError:
+                continue
+            if live_agents(g, i, twin) != live:
+                continue
+            twins += 1
+            solver = Solver(g, rule)
+            keys = {solver._known(i, solver._pack(SubgameState(i, s)))[3] for s in (scores, twin)}
+            assert len(keys) == 1, (g.n, rule.label(), i, scores, twin)
+            for policy in (None, Policy.canonical(), Policy.bias_toward(g.n - 1)):
+                answers = set()
+                for s in (scores, twin):
+                    for memo in (True, False):
+                        winners, winner, path = Solver(g, rule, use_memo=memo).solve(
+                            SubgameState(i, s), policy
+                        )
+                        answers.add((winners, winner, None if path is None else tuple(path)))
+                assert len(answers) == 1, (g.n, rule.label(), i, scores, twin, policy, answers)
+    assert twins >= 300
 
 
 def test_naive_oracle_pins_the_papers_examples():
@@ -332,8 +394,6 @@ def test_canonical_policy_path_is_consistent():
         for ballot in spe.path:
             for a in ballot:
                 scores[a] += 1
-        from seqvote.balloting import winner as elect
-
         assert elect(tuple(scores), g.tiebreak_order) == spe.winner
 
 
