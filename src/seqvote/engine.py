@@ -57,11 +57,12 @@ move: ``z`` trails the leader by at most ``R``, so no digit borrows or
 overflows.  It is exact, because the leader wins under a fixed tie-break:
 votes added to every live agent alike change no continuation's winner, no
 deadness and no preference key.  A key with no dead agents may equal a
-translated twin's raw key, which is the same class.  The parent derives the child's dead agents, key vector and canonical key
-from its own: a child's dead mask depends only on its lead key and the
-ballot's member bitmask, through two masks the parent finds once per lead
-key it meets.  Only a call's root decodes its scores.  Winner sets are
-bitmasks, turned into frozensets only when a call returns.
+translated twin's raw key, which is the same class.  The parent derives
+the child's dead agents, key vector and canonical key from its own: a
+child's dead mask depends only on its lead key and the ballot's member
+bitmask, through two masks the parent finds once per lead key it meets.
+Only a call's root decodes its scores.  Winner sets are bitmasks, turned
+into frozensets only when a call returns.
 
 Under a policy an entry is ``(winners, policy winner, policy ballot, child
 entry)``, linking to the entry of the child its ballot leads to, and a
@@ -487,8 +488,8 @@ class Solver:
         it derives ``known`` (the child's dead mask, ``votes * n +
         precedence`` keys, lead key and canonical key), probes the memo
         with the canonical key and calls this method with ``known`` only on
-        a miss.  :meth:`_root` gives a call's root its
-        ``known``; without pruning it is None and unused.
+        a miss.  :meth:`_root` gives a call's root its ``known``; without
+        pruning it is None and unused.
 
         A child's lead key ``top`` is the parent's, or a member's key after
         the vote if larger, so ballots approving the same contenders share
