@@ -112,7 +112,7 @@ def solve(graph_path, rule_name, k, policy, max_nodes, max_seconds):
         "metrics": metrics.as_dict(),
         "stats": solver.last_stats.as_dict(),
     }
-    click.echo(json.dumps(doc, sort_keys=True))
+    sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 @cli.command()

@@ -30,12 +30,29 @@ Exact cuts (``use_pruning``), none of which changes a result:
   without a call of its own: its entry depends only on its mover and leader
   and comes from a per-call table.  Quiescent states are never stored.
 - Threat bound, the set-valued form of alpha-beta pruning (Knuth & Moore,
-  1975).  Only live agents can win, so no outcome of ballot ``b`` has a key
-  above ``(L, -g_b, f_b)``, where ``L`` is the mover's best level over live
-  agents.  Ballots are visited in ``(g ascending, f descending)`` order and
-  ``m1`` is the largest worst key seen so far; once a ballot's bound falls
-  below ``m1`` so do all later ones, and none of them can add a winner, be
-  the threshold, or be a policy's choice.
+  1975).  Agent ``z`` is hopeful when it ties or passes the leader's (votes,
+  tie-break precedence) with only the votes of the voters still to move
+  that confirm it.  Only hopeful agents can win (the lemma below), so no
+  outcome of ballot ``b`` has a key above ``(L, -g_b, f_b)``, where ``L``
+  is the mover's best level over hopeful agents.  Ballots are visited in
+  ``(g ascending, f descending)`` order and ``m1`` is the largest worst key
+  seen so far; once a ballot's bound falls below ``m1`` so do all later
+  ones, and none of them can add a winner, be the threshold, or be a
+  policy's choice.
+
+  Lemma: every achievable winner of a state is hopeful there.  At a
+  terminal state the winner is the leader.  Otherwise take ``w`` in the
+  achievable set ``C_b`` of ballot ``b``'s child, hopeful there by
+  induction.  If the mover ``x`` confirms ``w`` or ``b`` leaves it out,
+  ``w``'s votes plus its confirmers' votes are no more in the child than
+  at the parent, and the lead is no less, so ``w`` is hopeful at the
+  parent.  Otherwise ``b`` approves ``w``, which is level 0 for ``x``:
+  ``b`` minus ``w`` costs ``x`` one ``g`` less and has no outcome below
+  level 0, so its worst key beats ``(0, -g_b, f_b)`` and ``w`` is not
+  sustained through ``b``.  So each ``C_b`` holds hopeful agents and
+  agents at level 0 for the mover, none above the bound, and the winners
+  are hopeful.  Hopeful agents are live, so the bound is never looser than
+  one over live agents.
 
 A node is one pass over its ballots, which also tracks the policy's pick.
 Keys pack as ``level * unit + base`` with ``base < unit``, so ballot ``b``'s
@@ -198,6 +215,12 @@ class Solver:
     result and no counter of a completed search; :func:`naive_achievable_winners`
     stays the canonical-order reference.
 
+    The threat bound rests on a lemma of the game (see the module
+    docstring): an agent wins a subgame only if the votes of its confirmers
+    still to move can carry it to the lead, since no SPE elects anyone
+    through a vote its voter pays ``-g`` for.  ``_cr[i][z]`` holds those
+    votes.
+
     A quiescent state is a node and counts in ``quiescent`` wherever it is
     met: a call's root is settled by :meth:`_root`, any other state at its
     parent.  A terminal state is not a node.
@@ -289,6 +312,13 @@ class Solver:
             [((n - i) - (1 if pos[z] >= i else 0)) * n for z in range(n)]
             for i in range(n + 1)
         ]
+        # cr[i][z]: the votes z can still receive from voters of order[i:]
+        # that confirm it, the only votes that can help elect it.
+        self._cr = [[0] * n]
+        for x in reversed(self._order):
+            conf = self._conf_mask[x]
+            self._cr.append([c + (n if conf & bit else 0) for c, bit in zip(self._cr[-1], self._bits)])
+        self._cr.reverse()
         # (dead-digit fill, ones of the live digits) by dead mask, as met.
         self._canon_of = {0: (0, sum(self._pows))}
         self._memo: dict = {}
@@ -500,6 +530,11 @@ class Solver:
         it is quiescent when every agent a later voter confirms is dead.  A
         terminal child is never probed, and where no later voter confirms
         anyone every child needs only its leader, not the masks.
+
+        The threat bound is the mover's best level over the state's hopeful
+        agents, those whose key plus ``_cr[i]`` reaches the lead: every
+        outcome of every ballot is one of them or an agent the ballot
+        approves without confirming it, which is level 0 for the mover.
         """
         n = self.n
         if i == n:
@@ -514,14 +549,14 @@ class Solver:
         nonterminal = i + 1 < n  # terminal children are never stored, nor settled as nodes
         if self.use_pruning:
             dead, vals, lead, key = known
-            live = self._all ^ dead
             ballots = self._ballots_at(x, dead)
-            # The mover's best level over live agents: no ballot reaches more.
-            bound = self._unit * (2 if live >> x & 1 else 1 if live & self._conf_mask[x] else 0)
+            bits = self._bits
+            # The mover's best level over hopeful agents: no ballot reaches more.
+            hopeful = sum([bit for v, c, bit in zip(vals, self._cr[i], bits) if v + c >= lead])
+            bound = self._unit * (2 if hopeful >> x & 1 else 1 if hopeful & self._conf_mask[x] else 0)
             settle = self._quiet[i + 1]
             watch = self._later_conf[i + 1]
             reach = self._reach[i + 1]
-            bits = self._bits
             canon_of = self._canon_of
             togo = n - i - 1  # voters to move in a child
             # Agents whose key after a vote passes the lead.

@@ -110,10 +110,10 @@ def test_memo_and_pruning_do_not_change_results():
 # (name, k, rule, policy, use_pruning) and the search's counters: nodes,
 # cache_hits, cache_size, quiescent, bound_skips, memo_aliases.
 PINNED = [
-    ("plurality_chain", 4, PLURALITY, None, True, (4432, 496, 432, 3504, 321, 432)),
-    ("h_k", 2, APPROVAL, Policy.canonical(), True, (238985, 155801, 7031, 76153, 72798, 19160)),
-    ("kapproval_chain", 2, k_approval(2), None, True, (31102, 1190, 774, 29138, 4503, 774)),
-    ("kapproval_chain", 1, k_approval(2), Policy.bias_toward(5), True, (4254, 228, 225, 3801, 697, 225)),
+    ("plurality_chain", 4, PLURALITY, None, True, (1741, 190, 379, 1172, 2429, 379)),
+    ("h_k", 2, APPROVAL, Policy.canonical(), True, (3667, 1993, 845, 829, 34584, 994)),
+    ("kapproval_chain", 2, k_approval(2), None, True, (4461, 380, 621, 3460, 24106, 621)),
+    ("kapproval_chain", 1, k_approval(2), Policy.bias_toward(5), True, (710, 73, 171, 466, 3053, 171)),
     ("plurality_chain", 3, PLURALITY, Policy.canonical(), False, (39873, 28461, 11412, 0, 0, 0)),
     ("example1", None, APPROVAL, Policy.canonical(), False, (8913, 7076, 1837, 0, 0, 0)),
 ]
@@ -189,7 +189,9 @@ def test_a_parent_derives_what_its_child_would_find():
     small = [(gen_random(spec), rule) for spec, rule in oracle_specs()]
     large = [
         (gen_random(RandomSpec(n=n, p=p, max_out=None, seed=seed0 + j)), rule)
-        for n, rule, seed0 in ((6, APPROVAL, 8100), (7, PLURALITY, 8200), (6, APPROVAL, 8300))
+        for n, rule, seed0 in (
+            (6, APPROVAL, 8100), (7, PLURALITY, 8200), (6, APPROVAL, 8300), (6, APPROVAL, 8400)
+        )
         for j, p in enumerate((0.15, 0.3, 0.5, 0.75))
     ]
     checked = 0
@@ -214,6 +216,36 @@ def live_agents(g, i, scores):
         for z in range(g.n)
         if (scores[z] + len(later) - (z in later), -rank[z]) >= (scores[leader], -rank[leader])
     }
+
+
+def test_winners_reach_the_leader_with_their_confirmers_votes_alone():
+    """An SPE never elects an agent through the vote of a voter that does
+    not confirm it: dropping that vote pays the voter a better bonus and
+    leaves every outcome it could reach within reach.  So an achievable
+    winner of ``(i, scores)`` ties or passes the leader's (votes, tie-break
+    precedence) with only the votes of the voters still to move that
+    confirm it, the lemma behind the solver's threat bound.  Checked with
+    the pruning off, from seeded mid-game states of the oracle games."""
+    checked = 0
+    for spec, rule in oracle_specs():
+        g = gen_random(spec)
+        rank = {a: r for r, a in enumerate(g.tiebreak_order)}
+        rng = random.Random(spec.seed)
+        for _ in range(6):
+            i = rng.randrange(g.n)
+            scores = (0,) * g.n
+            for voter in g.voting_order[:i]:
+                scores = apply_ballot(scores, rng.choice(legal_ballots(rule, voter, g.n)))
+            leader = elect(scores, g.tiebreak_order)
+            later = g.voting_order[i:]
+            solver = Solver(g, rule, use_pruning=False)
+            for w in solver.achievable_winners(SubgameState(i, scores)):
+                votes = scores[w] + sum(w in g.out_neighbors[y] for y in later)
+                assert (votes, -rank[w]) >= (scores[leader], -rank[leader]), (
+                    spec, rule.label(), i, scores, w,
+                )
+                checked += 1
+    assert checked >= 2_000
 
 
 def test_translated_live_scores_give_the_same_equilibria():
