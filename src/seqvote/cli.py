@@ -204,16 +204,11 @@ def report(in_path, out):
 
 
 @cli.command("verify-paper")
-@click.option(
-    "--fast/--full",
-    default=False,
-    help="--fast skips the heavy-tier golden instances.",
-)
-def verify_paper(fast):
+def verify_paper():
     """Run the full verification suite and print a pass/fail CSV table."""
     from .verify import run_all
 
-    results = run_all(heavy=not fast, log=sys.stderr)
+    results = run_all(log=sys.stderr)
     click.echo("criterion,status,seconds,detail")
     ok = True
     for r in results:

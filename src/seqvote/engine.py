@@ -54,6 +54,20 @@ Exact cuts (``use_pruning``), none of which changes a result:
   are hopeful.  Hopeful agents are live, so the bound is never looser than
   one over live agents.
 
+  The lemma holds at each ballot's child too, so ballot ``b`` also has a
+  bound of its own: the mover's best level over the agents hopeful in its
+  child, found from the child's lead key.  The mover's key and its
+  confirmers' votes are the same there, since no voter approves or
+  confirms itself; an agent ``c`` it confirms has, in the child, its votes
+  plus its confirmers' votes unchanged if ``b`` approves ``c`` and one vote
+  fewer if not.  When this bound plus ``b``'s base is below ``m1``, no
+  outcome of ``b`` has a key at or above ``m1``: none is sustained, ``b``'s
+  worst key is below ``m1`` and so leaves it unchanged, and ``b``'s winners
+  pass neither the ``L`` nor the ``L + 1`` test below.  The ballot that set
+  ``m1`` has a policy outcome of at least ``m1``, so ``b`` is not the
+  policy's choice either.  ``b`` is skipped, but a later ballot's child can
+  have a larger bound, so the pass goes on.
+
 A node is one pass over its ballots, which also tracks the policy's pick.
 Keys pack as ``level * unit + base`` with ``base < unit``, so ballot ``b``'s
 threshold level ``ceil((m1 - base_b) / unit)`` is ``L = m1 // unit`` if
@@ -219,7 +233,8 @@ class Solver:
     docstring): an agent wins a subgame only if the votes of its confirmers
     still to move can carry it to the lead, since no SPE elects anyone
     through a vote its voter pays ``-g`` for.  ``_cr[i][z]`` holds those
-    votes.
+    votes.  The bound is taken at a node, for all its ballots, and at each
+    ballot's child, for that ballot alone.
 
     A quiescent state is a node and counts in ``quiescent`` wherever it is
     met: a call's root is settled by :meth:`_root`, any other state at its
@@ -289,6 +304,7 @@ class Solver:
         self._bits = [1 << a for a in range(n)]
         self._all = (1 << n) - 1
         self._conf_mask = [sum(1 << a for a in g.out_neighbors[x]) for x in range(n)]
+        self._confirmed = [[(a, 1 << a) for a in sorted(g.out_neighbors[x])] for x in range(n)]  # (agent, bit)
         # Agents at level 0 for x: approving a dead one is dominated.
         self._unconf = [self._all & ~self._conf_mask[x] & ~(1 << x) for x in range(n)]
         # at_least[x][k]: agents at level k or more for x.
@@ -535,6 +551,16 @@ class Solver:
         agents, those whose key plus ``_cr[i]`` reaches the lead: every
         outcome of every ballot is one of them or an agent the ballot
         approves without confirming it, which is level 0 for the mover.
+        Past the raw-key probe, a ballot also has its child's bound, the
+        same level over the agents hopeful at the child's lead key ``top``,
+        and is skipped when that cannot reach ``m1``.  It is worked out with
+        the other facts of each ``top``, and only where it can be below the
+        node's: the node's bound is nonzero and the mover is not hopeful at
+        ``top``.  Then an agent the mover confirms is hopeful in every such
+        child if its key plus ``_cr[i]`` reaches ``top`` with one vote to
+        spare (``floor``), and otherwise, if it reaches ``top`` at all, only
+        in the children of ballots that approve it (``hope_in``).  A skipped
+        child is not a node and counts in ``bound_skips``.
         """
         n = self.n
         if i == n:
@@ -552,8 +578,13 @@ class Solver:
             ballots = self._ballots_at(x, dead)
             bits = self._bits
             # The mover's best level over hopeful agents: no ballot reaches more.
-            hopeful = sum([bit for v, c, bit in zip(vals, self._cr[i], bits) if v + c >= lead])
+            cr = self._cr[i]
+            hopeful = sum([bit for v, c, bit in zip(vals, cr, bits) if v + c >= lead])
             bound = self._unit * (2 if hopeful >> x & 1 else 1 if hopeful & self._conf_mask[x] else 0)
+            # The mover is hopeful in a child of lead key top when this
+            # reaches top: it never approves or confirms itself.
+            mover_reach = vals[x] + cr[x]
+            confirmed = self._confirmed[x]
             settle = self._quiet[i + 1]
             watch = self._later_conf[i + 1]
             reach = self._reach[i + 1]
@@ -561,7 +592,9 @@ class Solver:
             togo = n - i - 1  # voters to move in a child
             # Agents whose key after a vote passes the lead.
             contenders = sum([bit for v, bit in zip(vals, bits) if v + n > lead])
-            tops = {}  # (top, d0, d1, settled entry, key offset) by the ballot's contenders
+            # (top, d0, d1, settled entry, key offset, hope_in, floor) by the
+            # ballot's contenders; hope_in and floor give the child's bound.
+            tops = {}
         else:
             ballots = self._visit_order[x]
             bound = self._no_bound
@@ -606,9 +639,27 @@ class Solver:
                                 d0 |= bit
                                 if v + r + n < top:
                                     d1 |= bit
-                    facts = (top, d0, d1, settle[self._leader_of[top % n]], togo - top // n)
+                    # The mover's best level over the child's hopeful agents
+                    # is floor, or unit if the ballot approves one of hope_in.
+                    hope_in, floor = 0, bound
+                    if bound and mover_reach < top:
+                        floor = 0
+                        for c, bit in confirmed:
+                            r = vals[c] + cr[c]
+                            if r - n >= top:  # hopeful even without the mover's vote
+                                floor = unit
+                                break
+                            if r >= top:  # hopeful only with it
+                                hope_in |= bit
+                    facts = (top, d0, d1, settle[self._leader_of[top % n]], togo - top // n, hope_in, floor)
                     tops[bmask & contenders] = facts
-                top, d0, d1, quiet, offset = facts
+                top, d0, d1, quiet, offset, hope_in, floor = facts
+                if base < m1 and (unit if bmask & hope_in else floor) + base < m1:
+                    # The child's threat bound: no outcome of this ballot
+                    # reaches m1.  A later ballot's child may have a larger
+                    # bound, so the loop goes on.
+                    self._bound_skips += 1
+                    continue
                 child_dead = d1 | d0 & ~bmask
                 if not watch & ~child_dead:
                     child = quiet

@@ -142,9 +142,8 @@ def most_popular(g: ConfirmationNetwork) -> int:
 # -- check 1: golden catalog instances ------------------------------------------
 
 
-def check_golden_instances(heavy: bool = True, log: TextIO | None = None) -> CheckResult:
+def check_golden_instances(log: TextIO | None = None) -> CheckResult:
     failures: list[str] = []
-    skipped: list[str] = []
 
     def expect(label: str, ok: bool, got: str = "") -> None:
         _log(log, f"  golden {label}: {'ok' if ok else 'FAIL ' + got}")
@@ -181,26 +180,23 @@ def check_golden_instances(heavy: bool = True, log: TextIO | None = None) -> Che
     if names == ["c3"]:
         gap = net.additive_gap(gk, agent_index(gk, "c3"))
         expect("g_k(2) gap=2", gap == 2, str(gap))
-    if heavy:
-        w = solve(gk, APPROVAL, seconds=3600)
-        names = _winner_names(gk, w)
-        expect("g_k(2) approval W={c3}", names == ["c3"], str(names))
-    else:
-        # Fallback walkthrough: once any d-type voter supports c1 the chain
-        # collapse elects c2; when both d-type voters commit to c3 alone, c3
-        # carries the rest of the game.
-        sv = Solver(gk, APPROVAL, budget=Budget(max_seconds=600))
-        scores = [0] * gk.n
-        scores[agent_index(gk, "c1")] = 1
-        sub = sv.achievable_winners(SubgameState(1, tuple(scores)))
-        names = _winner_names(gk, sub)
-        expect("g_k(2) approval subgame d1a={c1} -> W={c2}", names == ["c2"], str(names))
-        scores = [0] * gk.n
-        scores[agent_index(gk, "c3")] = 2
-        sub = sv.achievable_winners(SubgameState(2, tuple(scores)))
-        names = _winner_names(gk, sub)
-        expect("g_k(2) approval subgame d1={c3},{c3} -> W={c3}", names == ["c3"], str(names))
-        skipped.append("g_k(2) approval full solve")
+    w = solve(gk, APPROVAL, seconds=3600)
+    names = _winner_names(gk, w)
+    expect("g_k(2) approval W={c3}", names == ["c3"], str(names))
+    # The walkthrough: once any d-type voter supports c1 the chain collapse
+    # elects c2; when both d-type voters commit to c3 alone, c3 carries the
+    # rest of the game.
+    sv = Solver(gk, APPROVAL, budget=Budget(max_seconds=600))
+    scores = [0] * gk.n
+    scores[agent_index(gk, "c1")] = 1
+    sub = sv.achievable_winners(SubgameState(1, tuple(scores)))
+    names = _winner_names(gk, sub)
+    expect("g_k(2) approval subgame d1a={c1} -> W={c2}", names == ["c2"], str(names))
+    scores = [0] * gk.n
+    scores[agent_index(gk, "c3")] = 2
+    sub = sv.achievable_winners(SubgameState(2, tuple(scores)))
+    names = _winner_names(gk, sub)
+    expect("g_k(2) approval subgame d1={c3},{c3} -> W={c3}", names == ["c3"], str(names))
 
     fig5 = gen_paper_instance(InstanceSpec("plurality_chain_fig5"))
     w = solve(fig5, PLURALITY)
@@ -208,7 +204,7 @@ def check_golden_instances(heavy: bool = True, log: TextIO | None = None) -> Che
     expect("fig5 c3 in W", c3 in w, str(_winner_names(fig5, w)))
     if c3 in w:
         expect("fig5 ratio(c3)=3", net.ratio(fig5, c3) == 3, str(net.ratio(fig5, c3)))
-    for k in (3, 4):
+    for k in (3, 4, 5, 6):
         gc = gen_paper_instance(InstanceSpec("plurality_chain", k))
         w = solve(gc, PLURALITY, seconds=300)
         ck = agent_index(gc, f"c{k}")
@@ -234,16 +230,8 @@ def check_golden_instances(heavy: bool = True, log: TextIO | None = None) -> Che
     w = solve(hk, PLURALITY, seconds=60)
     expect("h_k(2) plurality m in W", agent_index(hk, "m") in w, str(_winner_names(hk, w)))
 
-    detail_parts = []
-    if failures:
-        detail_parts.append(f"{len(failures)} failed: " + "; ".join(failures))
-    else:
-        detail_parts.append("all golden expectations hold")
-    if skipped:
-        detail_parts.append("skipped (fast mode): " + ", ".join(skipped))
-    return CheckResult(
-        "golden_instances", not failures, time.monotonic() - t0, " | ".join(detail_parts)
-    )
+    detail = f"{len(failures)} failed: " + "; ".join(failures) if failures else "all golden expectations hold"
+    return CheckResult("golden_instances", not failures, time.monotonic() - t0, detail)
 
 
 # -- check 2: oracle equivalence ------------------------------------------------
@@ -543,15 +531,12 @@ def check_determinism(log: TextIO | None = None) -> CheckResult:
 # -- driver ---------------------------------------------------------------------
 
 
-def run_all(
-    heavy: bool = True,
-    log: TextIO | None = None,
-) -> list[CheckResult]:
+def run_all(log: TextIO | None = None) -> list[CheckResult]:
     results: list[CheckResult] = []
     samples: list[PathSample] = []
 
     _log(log, "[1/8] golden catalog instances")
-    results.append(check_golden_instances(heavy=heavy, log=log))
+    results.append(check_golden_instances(log=log))
     _log(log, "[2/8] oracle equivalence")
     results.append(check_oracle_equivalence(log=log))
     _log(log, "[3/8] low out-degree suite")

@@ -110,10 +110,10 @@ def test_memo_and_pruning_do_not_change_results():
 # (name, k, rule, policy, use_pruning) and the search's counters: nodes,
 # cache_hits, cache_size, quiescent, bound_skips, memo_aliases.
 PINNED = [
-    ("plurality_chain", 4, PLURALITY, None, True, (1741, 190, 379, 1172, 2429, 379)),
-    ("h_k", 2, APPROVAL, Policy.canonical(), True, (3667, 1993, 845, 829, 34584, 994)),
-    ("kapproval_chain", 2, k_approval(2), None, True, (4461, 380, 621, 3460, 24106, 621)),
-    ("kapproval_chain", 1, k_approval(2), Policy.bias_toward(5), True, (710, 73, 171, 466, 3053, 171)),
+    ("plurality_chain", 4, PLURALITY, None, True, (1181, 151, 298, 732, 2098, 298)),
+    ("h_k", 2, APPROVAL, Policy.canonical(), True, (408, 215, 145, 48, 7345, 155)),
+    ("kapproval_chain", 2, k_approval(2), None, True, (2340, 246, 390, 1704, 15601, 390)),
+    ("kapproval_chain", 1, k_approval(2), Policy.bias_toward(5), True, (395, 54, 105, 236, 1916, 105)),
     ("plurality_chain", 3, PLURALITY, Policy.canonical(), False, (39873, 28461, 11412, 0, 0, 0)),
     ("example1", None, APPROVAL, Policy.canonical(), False, (8913, 7076, 1837, 0, 0, 0)),
 ]
@@ -185,12 +185,13 @@ class KnownCheckingSolver(Solver):
 
 def test_a_parent_derives_what_its_child_would_find():
     """On the oracle games with the memo on and off, and on n = 6 approval
-    and n = 7 plurality games with it on."""
+    and n = 7 plurality and approval games with it on."""
     small = [(gen_random(spec), rule) for spec, rule in oracle_specs()]
     large = [
         (gen_random(RandomSpec(n=n, p=p, max_out=None, seed=seed0 + j)), rule)
         for n, rule, seed0 in (
-            (6, APPROVAL, 8100), (7, PLURALITY, 8200), (6, APPROVAL, 8300), (6, APPROVAL, 8400)
+            (6, APPROVAL, 8100), (7, PLURALITY, 8200), (6, APPROVAL, 8300), (6, APPROVAL, 8400),
+            (7, APPROVAL, 8800),
         )
         for j, p in enumerate((0.15, 0.3, 0.5, 0.75))
     ]
