@@ -7,9 +7,6 @@ from itertools import combinations
 
 from .network import ConfirmationNetwork
 
-Ballot = frozenset  # set of approved agent ids
-ScoreVector = tuple  # votes per agent, indexed by agent id
-
 
 class RuleError(ValueError):
     """Raised for malformed rules or illegal ballot parameters."""

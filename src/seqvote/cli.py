@@ -8,14 +8,13 @@ and diagnostics go to stderr.  Exit codes: 0 success, 1 invalid input,
 from __future__ import annotations
 
 import json
-import os
 import sys
 from pathlib import Path
 
 import click
 
 from . import network as net
-from .balloting import RuleError, rule_from_strings
+from .balloting import rule_from_strings
 from .engine import (
     Budget,
     BudgetExceededError,
@@ -33,31 +32,16 @@ from .experiments import (
     write_records,
 )
 from .families import (
-    GenerationError,
     InstanceSpec,
     RandomSpec,
     catalog_names,
     gen_paper_instance,
     gen_random,
 )
-from .network import NetworkError
 
 EXIT_INVALID_INPUT = 1
 EXIT_BUDGET = 2
 EXIT_VERIFICATION = 3
-
-
-def _budget_from_flags(max_nodes: int | None, max_seconds: float | None) -> Budget:
-    if max_seconds is None:
-        env = os.environ.get("SEQVOTE_BUDGET_SECONDS")
-        if env is not None:
-            try:
-                max_seconds = float(env)
-            except ValueError:
-                raise click.UsageError(
-                    f"SEQVOTE_BUDGET_SECONDS must be a number, got {env!r}"
-                )
-    return Budget(max_nodes=max_nodes, max_seconds=max_seconds)
 
 
 def _parse_policy(text: str) -> Policy:
@@ -101,7 +85,7 @@ def solve(graph_path, rule_name, k, policy, max_nodes, max_seconds):
     rule = rule_from_strings(rule_name, k)
     pol = _parse_policy(policy)
     g = net.parse(Path(graph_path).read_text())
-    solver = Solver(g, rule, budget=_budget_from_flags(max_nodes, max_seconds))
+    solver = Solver(g, rule, budget=Budget(max_nodes=max_nodes, max_seconds=max_seconds))
     spe = solver.policy_spe(pol)
     metrics = instance_metrics(g, spe.winners)
     doc = {
@@ -157,7 +141,7 @@ def random_cmd(n, p, cap, seed, out):
 def metrics(in_path, rule_name, k, max_nodes, max_seconds, out):
     """Batch-solve instances and emit one RunRecord per line (JSONL)."""
     rule = rule_from_strings(rule_name, k)
-    budget = _budget_from_flags(max_nodes, max_seconds)
+    budget = Budget(max_nodes=max_nodes, max_seconds=max_seconds)
     path = Path(in_path)
     sources = []
     if path.is_dir():
@@ -234,10 +218,8 @@ def main() -> None:
     except BudgetExceededError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_BUDGET)
-    except (NetworkError, GenerationError, RuleError, RecordError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INVALID_INPUT)
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # NetworkError, GenerationError, RuleError and RecordError are ValueErrors.
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_INVALID_INPUT)
 

@@ -117,6 +117,7 @@ from .preferences import assess, outcome_level
 
 _TIME_CHECK_MASK = 0x3FF  # check the wall clock on node 1, then every 1024 nodes
 _NEVER = 1 << 64  # a node count no search reaches: no check is due
+_NAIVE_MAX_LEAVES = 4_000_000  # the oracle's game-tree size limit
 
 
 @dataclass(frozen=True)
@@ -133,10 +134,6 @@ class SubgameState:
             raise ValueError(f"score vector has {len(self.scores)} entries, expected {n}")
         if any(s < 0 or s > self.i for s in self.scores):
             raise ValueError(f"scores {self.scores} inconsistent with {self.i} cast ballots")
-
-
-def initial_state(n: int) -> SubgameState:
-    return SubgameState(0, (0,) * n)
 
 
 @dataclass(frozen=True)
@@ -479,7 +476,7 @@ class Solver:
         if policy is not None and policy.target is not None and not 0 <= policy.target < self.n:
             raise ValueError(f"bias_toward needs a valid target, got {policy.target}")
         if state is None:
-            state = initial_state(self.n)
+            state = SubgameState(0, (0,) * self.n)
         state.validate(self.n)
         self._start(policy)
         try:
@@ -749,9 +746,7 @@ class NaiveSizeError(ValueError):
     """The instance is too large for the unmemoized reference solver."""
 
 
-def naive_achievable_winners(
-    g: ConfirmationNetwork, rule: Rule, *, max_leaves: int = 4_000_000
-) -> frozenset[int]:
+def naive_achievable_winners(g: ConfirmationNetwork, rule: Rule) -> frozenset[int]:
     """Reference oracle: direct extensive-form recursion, no memo, no pruning.
 
     It walks the full game tree, every legal ballot at every node, and gives
@@ -771,9 +766,9 @@ def naive_achievable_winners(
     for x in order:
         ballots = legal_ballots(rule, x, n)
         leaves *= len(ballots)
-        if leaves > max_leaves:
+        if leaves > _NAIVE_MAX_LEAVES:
             raise NaiveSizeError(
-                f"game tree exceeds the naive-solver limit of {max_leaves} leaves"
+                f"game tree exceeds the naive-solver limit of {_NAIVE_MAX_LEAVES} leaves"
             )
         keyed = []
         for b in ballots:

@@ -102,13 +102,11 @@ def instance_metrics(g: ConfirmationNetwork, winners) -> InstanceMetrics:
     winners = sorted(winners)
     per_winner = []
     for w in winners:
-        stripped = net.remove_out_edges(g, w)
-        top = net.degree_profile(stripped).max_in
         per_winner.append(
             WinnerMetrics(
                 agent=w,
                 popularity=net.popularity(g, w),
-                top_popularity_without_own_edges=top,
+                top_popularity_without_own_edges=net.top_popularity_without_own_edges(g, w),
                 gap=net.additive_gap(g, w),
                 ratio=net.ratio(g, w),
             )
@@ -123,20 +121,20 @@ def instance_metrics(g: ConfirmationNetwork, winners) -> InstanceMetrics:
     )
 
 
-def _verdicts(g: ConfirmationNetwork, rule: Rule, metrics: InstanceMetrics) -> dict:
+def verdicts(rule: Rule, metrics: InstanceMetrics) -> dict:
     """Per-record invariant verdicts aggregated by summarize()."""
-    verdicts = {
+    result = {
         "nonempty_winners": bool(metrics.winners),
         "gaps_nonnegative": all(m.gap >= 0 for m in metrics.per_winner),
     }
     within = [m.within_factor_2 for m in metrics.per_winner]
     if rule.kind == "approval":
         # every achievable winner obeys the factor-2 popularity bound
-        verdicts["every_winner_within_2d"] = all(within)
+        result["every_winner_within_2d"] = all(within)
     else:
         # some achievable winner obeys the factor-2 popularity bound
-        verdicts["exists_winner_within_2d"] = any(within)
-    return verdicts
+        result["exists_winner_within_2d"] = any(within)
+    return result
 
 
 def instance_descriptor(source) -> dict:
@@ -279,45 +277,32 @@ def run_one(
     budget: Budget | None = None,
     use_pruning: bool = True,
 ) -> RunRecord:
-    descriptor = instance_descriptor(source)
+    record = RunRecord(
+        instance=instance_descriptor(source),
+        graph={},
+        rule=rule_to_dict(rule),
+        status="error",
+        metrics=None,
+        verdicts={},
+        stats={},
+    )
     try:
         g = resolve_instance(source)
     except Exception as exc:
-        return RunRecord(
-            instance=descriptor,
-            graph={},
-            rule=rule_to_dict(rule),
-            status="error",
-            metrics=None,
-            verdicts={},
-            stats={},
-            error=str(exc),
-        )
-    graph_doc = net.to_json_dict(g)
+        record.error = str(exc)
+        return record
+    record.graph = net.to_json_dict(g)
     solver = Solver(g, rule, budget=budget, use_pruning=use_pruning)
     try:
         winners = solver.achievable_winners()
     except BudgetExceededError as exc:
-        return RunRecord(
-            instance=descriptor,
-            graph=graph_doc,
-            rule=rule_to_dict(rule),
-            status="budget_exceeded",
-            metrics=None,
-            verdicts={},
-            stats=exc.stats.as_dict(),
-            error=str(exc),
-        )
-    metrics = instance_metrics(g, winners)
-    return RunRecord(
-        instance=descriptor,
-        graph=graph_doc,
-        rule=rule_to_dict(rule),
-        status="ok",
-        metrics=metrics,
-        verdicts=_verdicts(g, rule, metrics),
-        stats=solver.last_stats.as_dict(),
-    )
+        record.status, record.error = "budget_exceeded", str(exc)
+        record.stats = exc.stats.as_dict()
+        return record
+    record.status, record.metrics = "ok", instance_metrics(g, winners)
+    record.verdicts = verdicts(rule, record.metrics)
+    record.stats = solver.last_stats.as_dict()
+    return record
 
 
 def run_batch(

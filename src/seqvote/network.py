@@ -123,11 +123,19 @@ def remove_out_edges(g: ConfirmationNetwork, w: int) -> ConfirmationNetwork:
     )
 
 
+def top_popularity_without_own_edges(g: ConfirmationNetwork, w: int) -> int:
+    """The largest in-degree once ``w``'s own out-edges are removed.
+
+    Removing them costs each agent ``w`` confirms one in-edge, so this reads
+    the in-neighbour sets and copies no graph.
+    """
+    g._check_agent(w)
+    return max(len(ins) - (w in ins) for ins in g.in_neighbors)
+
+
 def additive_gap(g: ConfirmationNetwork, w: int) -> int:
     """Popularity shortfall of ``w`` versus the most popular agent, ignoring w's own out-edges."""
-    g._check_agent(w)
-    stripped = remove_out_edges(g, w)
-    return degree_profile(stripped).max_in - popularity(g, w)
+    return top_popularity_without_own_edges(g, w) - popularity(g, w)
 
 
 def ratio(g: ConfirmationNetwork, w: int) -> Fraction | float:
@@ -137,9 +145,7 @@ def ratio(g: ConfirmationNetwork, w: int) -> Fraction | float:
     definitions): 0/0 is 1 and x/0 with x > 0 is +inf, so aggregation over
     winner sets stays total.  +inf is reported distinctly.
     """
-    g._check_agent(w)
-    stripped = remove_out_edges(g, w)
-    top = degree_profile(stripped).max_in
+    top = top_popularity_without_own_edges(g, w)
     d_w = popularity(g, w)
     if d_w == 0:
         return Fraction(1) if top == 0 else math.inf

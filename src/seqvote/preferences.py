@@ -14,7 +14,6 @@ any solving path.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
 
 from .network import ConfirmationNetwork
 
@@ -29,13 +28,6 @@ _LEVEL_VALUE = {
     LEVEL_UNCONFIRMED: Fraction(0),
 }
 
-PrefKey = tuple  # (level, -g, f), compared lexicographically
-
-
-class BallotAssessment(NamedTuple):
-    f: int  # confirmed agents voted for
-    g: int  # unconfirmed agents voted for
-
 
 def outcome_level(g: ConfirmationNetwork, x: int, y: int) -> int:
     g._check_agent(x)
@@ -47,13 +39,14 @@ def outcome_level(g: ConfirmationNetwork, x: int, y: int) -> int:
     return LEVEL_UNCONFIRMED
 
 
-def assess(g: ConfirmationNetwork, x: int, ballot: frozenset[int]) -> BallotAssessment:
-    confirmed = g.out_neighbors[x]
-    f = len(ballot & confirmed)
-    return BallotAssessment(f=f, g=len(ballot) - f)
+def assess(g: ConfirmationNetwork, x: int, ballot: frozenset[int]) -> tuple[int, int]:
+    """``(f, g)``: the confirmed and the unconfirmed agents ``x`` votes for."""
+    f = len(ballot & g.out_neighbors[x])
+    return f, len(ballot) - f
 
 
-def key_from_parts(level: int, f: int, g: int) -> PrefKey:
+def key_from_parts(level: int, f: int, g: int) -> tuple[int, int, int]:
+    """``(level, -g, f)``, compared lexicographically."""
     return (level, -g, f)
 
 

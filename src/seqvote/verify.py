@@ -32,7 +32,7 @@ from .engine import (
     SubgameState,
     naive_achievable_winners,
 )
-from .experiments import instance_metrics, run_one
+from .experiments import instance_metrics, run_one, verdicts
 from .families import (
     InstanceSpec,
     RandomSpec,
@@ -153,85 +153,87 @@ def check_golden_instances(log: TextIO | None = None) -> CheckResult:
     def solve(g, rule, seconds=None):
         return Solver(g, rule, budget=Budget(max_seconds=seconds)).achievable_winners()
 
-    t0 = time.monotonic()
+    def body() -> tuple[bool, str]:
+        g1 = gen_paper_instance(InstanceSpec("example1"))
+        names = _winner_names(g1, solve(g1, PLURALITY))
+        expect("example1 plurality W={1}", names == ["1"], str(names))
+        names = _winner_names(g1, solve(g1, APPROVAL))
+        expect("example1 approval W={5}", names == ["5"], str(names))
 
-    g1 = gen_paper_instance(InstanceSpec("example1"))
-    w = solve(g1, PLURALITY)
-    expect("example1 plurality W={1}", _winner_names(g1, w) == ["1"], str(_winner_names(g1, w)))
-    w = solve(g1, APPROVAL)
-    expect("example1 approval W={5}", _winner_names(g1, w) == ["5"], str(_winner_names(g1, w)))
+        g2 = gen_paper_instance(InstanceSpec("example2"))
+        w = solve(g2, PLURALITY)
+        names = _winner_names(g2, w)
+        expect("example2 plurality W={3}", names == ["3"], str(names))
+        if names == ["3"]:
+            gap = net.additive_gap(g2, agent_index(g2, "3"))
+            expect("example2 plurality gap=0", gap == 0, str(gap))
+        w = solve(g2, APPROVAL)
+        names = _winner_names(g2, w)
+        expect("example2 approval W={4}", names == ["4"], str(names))
+        expect("example2 agent 4 most popular", most_popular(g2) == agent_index(g2, "4"))
 
-    g2 = gen_paper_instance(InstanceSpec("example2"))
-    w = solve(g2, PLURALITY)
-    names = _winner_names(g2, w)
-    expect("example2 plurality W={3}", names == ["3"], str(names))
-    if names == ["3"]:
-        gap = net.additive_gap(g2, agent_index(g2, "3"))
-        expect("example2 plurality gap=0", gap == 0, str(gap))
-    w = solve(g2, APPROVAL)
-    names = _winner_names(g2, w)
-    expect("example2 approval W={4}", names == ["4"], str(names))
-    expect("example2 agent 4 most popular", most_popular(g2) == agent_index(g2, "4"))
+        gk = gen_paper_instance(InstanceSpec("g_k", 2))
+        w = solve(gk, PLURALITY)
+        names = _winner_names(gk, w)
+        expect("g_k(2) plurality W={c3}", names == ["c3"], str(names))
+        if names == ["c3"]:
+            gap = net.additive_gap(gk, agent_index(gk, "c3"))
+            expect("g_k(2) gap=2", gap == 2, str(gap))
+        w = solve(gk, APPROVAL, seconds=3600)
+        names = _winner_names(gk, w)
+        expect("g_k(2) approval W={c3}", names == ["c3"], str(names))
+        # The walkthrough: once any d-type voter supports c1 the chain collapse
+        # elects c2; when both d-type voters commit to c3 alone, c3 carries the
+        # rest of the game.
+        sv = Solver(gk, APPROVAL, budget=Budget(max_seconds=600))
+        scores = [0] * gk.n
+        scores[agent_index(gk, "c1")] = 1
+        sub = sv.achievable_winners(SubgameState(1, tuple(scores)))
+        names = _winner_names(gk, sub)
+        expect("g_k(2) approval subgame d1a={c1} -> W={c2}", names == ["c2"], str(names))
+        scores = [0] * gk.n
+        scores[agent_index(gk, "c3")] = 2
+        sub = sv.achievable_winners(SubgameState(2, tuple(scores)))
+        names = _winner_names(gk, sub)
+        expect("g_k(2) approval subgame d1={c3},{c3} -> W={c3}", names == ["c3"], str(names))
 
-    gk = gen_paper_instance(InstanceSpec("g_k", 2))
-    w = solve(gk, PLURALITY)
-    names = _winner_names(gk, w)
-    expect("g_k(2) plurality W={c3}", names == ["c3"], str(names))
-    if names == ["c3"]:
-        gap = net.additive_gap(gk, agent_index(gk, "c3"))
-        expect("g_k(2) gap=2", gap == 2, str(gap))
-    w = solve(gk, APPROVAL, seconds=3600)
-    names = _winner_names(gk, w)
-    expect("g_k(2) approval W={c3}", names == ["c3"], str(names))
-    # The walkthrough: once any d-type voter supports c1 the chain collapse
-    # elects c2; when both d-type voters commit to c3 alone, c3 carries the
-    # rest of the game.
-    sv = Solver(gk, APPROVAL, budget=Budget(max_seconds=600))
-    scores = [0] * gk.n
-    scores[agent_index(gk, "c1")] = 1
-    sub = sv.achievable_winners(SubgameState(1, tuple(scores)))
-    names = _winner_names(gk, sub)
-    expect("g_k(2) approval subgame d1a={c1} -> W={c2}", names == ["c2"], str(names))
-    scores = [0] * gk.n
-    scores[agent_index(gk, "c3")] = 2
-    sub = sv.achievable_winners(SubgameState(2, tuple(scores)))
-    names = _winner_names(gk, sub)
-    expect("g_k(2) approval subgame d1={c3},{c3} -> W={c3}", names == ["c3"], str(names))
+        fig5 = gen_paper_instance(InstanceSpec("plurality_chain_fig5"))
+        w = solve(fig5, PLURALITY)
+        c3 = agent_index(fig5, "c3")
+        expect("fig5 c3 in W", c3 in w, str(_winner_names(fig5, w)))
+        if c3 in w:
+            expect("fig5 ratio(c3)=3", net.ratio(fig5, c3) == 3, str(net.ratio(fig5, c3)))
+        for k in (3, 4, 5, 6):
+            gc = gen_paper_instance(InstanceSpec("plurality_chain", k))
+            w = solve(gc, PLURALITY, seconds=300)
+            ck = agent_index(gc, f"c{k}")
+            expect(f"plurality_chain({k}) c{k} in W", ck in w, str(_winner_names(gc, w)))
+            if ck in w:
+                r_max = max(net.ratio(gc, a) for a in w)
+                expect(f"plurality_chain({k}) r_max>={k}", r_max >= k, str(r_max))
 
-    fig5 = gen_paper_instance(InstanceSpec("plurality_chain_fig5"))
-    w = solve(fig5, PLURALITY)
-    c3 = agent_index(fig5, "c3")
-    expect("fig5 c3 in W", c3 in w, str(_winner_names(fig5, w)))
-    if c3 in w:
-        expect("fig5 ratio(c3)=3", net.ratio(fig5, c3) == 3, str(net.ratio(fig5, c3)))
-    for k in (3, 4, 5, 6):
-        gc = gen_paper_instance(InstanceSpec("plurality_chain", k))
-        w = solve(gc, PLURALITY, seconds=300)
-        ck = agent_index(gc, f"c{k}")
-        expect(f"plurality_chain({k}) c{k} in W", ck in w, str(_winner_names(gc, w)))
-        if ck in w:
-            r_max = max(net.ratio(gc, a) for a in w)
-            expect(f"plurality_chain({k}) r_max>={k}", r_max >= k, str(r_max))
+        ka = gen_paper_instance(InstanceSpec("kapproval_chain", 2))
+        c3 = agent_index(ka, "c3")
+        expect("kapproval_chain(2) ratio(c3)=3", net.ratio(ka, c3) == 3, str(net.ratio(ka, c3)))
+        w = solve(ka, k_approval(2), seconds=1800)
+        names = _winner_names(ka, w)
+        expect("kapproval_chain(2) W={c1,c2}", names == ["c1", "c2"], str(names))
 
-    ka = gen_paper_instance(InstanceSpec("kapproval_chain", 2))
-    c3 = agent_index(ka, "c3")
-    expect("kapproval_chain(2) ratio(c3)=3", net.ratio(ka, c3) == 3, str(net.ratio(ka, c3)))
-    w = solve(ka, k_approval(2), seconds=1800)
-    names = _winner_names(ka, w)
-    expect("kapproval_chain(2) W={c1,c2}", names == ["c1", "c2"], str(names))
+        hk = gen_paper_instance(InstanceSpec("h_k", 2))
+        w = solve(hk, APPROVAL, seconds=300)
+        names = _winner_names(hk, w)
+        expect("h_k(2) approval W={c1}", names == ["c1"], str(names))
+        if names == ["c1"]:
+            r = net.ratio(hk, agent_index(hk, "c1"))
+            expect("h_k(2) ratio(c1)=3/2", r == Fraction(3, 2), str(r))
+        w = solve(hk, PLURALITY, seconds=60)
+        expect("h_k(2) plurality m in W", agent_index(hk, "m") in w, str(_winner_names(hk, w)))
 
-    hk = gen_paper_instance(InstanceSpec("h_k", 2))
-    w = solve(hk, APPROVAL, seconds=300)
-    names = _winner_names(hk, w)
-    expect("h_k(2) approval W={c1}", names == ["c1"], str(names))
-    if names == ["c1"]:
-        r = net.ratio(hk, agent_index(hk, "c1"))
-        expect("h_k(2) ratio(c1)=3/2", r == Fraction(3, 2), str(r))
-    w = solve(hk, PLURALITY, seconds=60)
-    expect("h_k(2) plurality m in W", agent_index(hk, "m") in w, str(_winner_names(hk, w)))
+        if failures:
+            return False, f"{len(failures)} failed: " + "; ".join(failures)
+        return True, "all golden expectations hold"
 
-    detail = f"{len(failures)} failed: " + "; ".join(failures) if failures else "all golden expectations hold"
-    return CheckResult("golden_instances", not failures, time.monotonic() - t0, detail)
+    return _timed(body, "golden_instances")
 
 
 # -- check 2: oracle equivalence ------------------------------------------------
@@ -339,9 +341,9 @@ def check_approval_bound_suite(
             g = gen_random(spec)
             spe = Solver(g, APPROVAL).policy_spe(Policy.canonical())
             metrics = instance_metrics(g, spe.winners)
-            bad = [m.agent for m in metrics.per_winner if not m.within_factor_2]
-            if bad:
+            if not verdicts(APPROVAL, metrics)["every_winner_within_2d"]:
                 violations += 1
+                bad = [m.agent for m in metrics.per_winner if not m.within_factor_2]
                 _log(
                     log,
                     f"  approval bound violation seed={spec.seed}: winners {bad} "
@@ -373,8 +375,7 @@ def check_plurality_bound_suite(
             g = gen_random(spec)
             spe = Solver(g, PLURALITY).policy_spe(Policy.bias_toward(most_popular(g)))
             metrics = instance_metrics(g, spe.winners)
-            within = {m.agent: m.within_factor_2 for m in metrics.per_winner}
-            if not any(within.values()):
+            if not verdicts(PLURALITY, metrics)["exists_winner_within_2d"]:
                 hard += 1
                 _log(
                     log,
@@ -382,7 +383,7 @@ def check_plurality_bound_suite(
                     f"W={metrics.winners}; graph={net.serialize(g)}",
                 )
                 continue
-            if not within[spe.winner]:
+            if not metrics.per_winner[metrics.winners.index(spe.winner)].within_factor_2:
                 soft += 1
                 _log(
                     log,

@@ -42,6 +42,16 @@ def test_criterion_1_golden_instances():
     assert r.passed, r.detail
 
 
+def test_golden_instances_report_a_budget_stop(monkeypatch):
+    """A budget stop in any golden solve fails criterion 1 with a detail and
+    does not escape, so ``run_all`` still produces the complete table."""
+    monkeypatch.setattr(verify, "Budget", lambda **kwargs: Budget(max_nodes=0))
+    r = verify.check_golden_instances()
+    assert r.name == "golden_instances"
+    assert not r.passed
+    assert r.detail.startswith("budget exceeded"), r.detail
+
+
 def _brute_force_winners(g, rule_cap, voters, scores):
     """Achievable winners of the game in which only ``voters`` move, in order,
     from ``scores``; every later voter abstains.

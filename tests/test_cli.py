@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from seqvote import cli, network
+from seqvote import cli, network, verify
 from seqvote.balloting import PLURALITY
 from seqvote.engine import Policy, Solver
 from seqvote.experiments import run_one
@@ -24,15 +24,8 @@ CMD = [sys.executable, "-m", "seqvote.cli"]
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def run_cli(*args, env=None):
-    import os
-
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
-    return subprocess.run(
-        CMD + list(args), capture_output=True, text=True, env=full_env
-    )
+def run_cli(*args):
+    return subprocess.run(CMD + list(args), capture_output=True, text=True)
 
 
 def test_family_writes_graph_json(tmp_path):
@@ -135,34 +128,16 @@ def test_budget_exceeded_exits_2(tmp_path):
     assert "budget" in result.stderr.lower()
 
 
-def test_budget_env_var_applies(tmp_path):
-    graph = tmp_path / "g.json"
-    run_cli("random", "--n", "8", "--p", "0.5", "--seed", "5", "--out", str(graph))
-    result = run_cli(
-        "solve",
-        "--graph",
-        str(graph),
-        "--rule",
-        "approval",
-        env={"SEQVOTE_BUDGET_SECONDS": "0.05"},
-    )
-    assert result.returncode == 2
-
-
-@pytest.mark.parametrize(
-    "flags,env",
-    [(["--max-seconds", "0"], None), ([], {"SEQVOTE_BUDGET_SECONDS": "0"})],
-    ids=["flag", "env"],
-)
-def test_zero_second_budget_stops_a_small_search(tmp_path, flags, env):
+@pytest.mark.parametrize("flags", [["--max-seconds", "0"]], ids=["flag"])
+def test_zero_second_budget_stops_a_small_search(tmp_path, flags):
     """example2 takes 30 nodes, far fewer than the nodes between two reads
     of the clock; the deadline is read on the first node as well."""
     graph = tmp_path / "g.json"
     graph.write_text(network.serialize(gen_paper_instance(InstanceSpec("example2"))))
-    solved = run_cli("solve", "--graph", str(graph), "--rule", "plurality", *flags, env=env)
+    solved = run_cli("solve", "--graph", str(graph), "--rule", "plurality", *flags)
     assert solved.returncode == 2, solved.stdout + solved.stderr
     assert "time budget" in solved.stderr
-    batch = run_cli("metrics", "--in", str(tmp_path), "--rule", "plurality", *flags, env=env)
+    batch = run_cli("metrics", "--in", str(tmp_path), "--rule", "plurality", *flags)
     assert batch.returncode == 0, batch.stderr
     records = [json.loads(line) for line in batch.stdout.splitlines()]
     assert [r["status"] for r in records] == ["budget_exceeded"]
@@ -170,24 +145,21 @@ def test_zero_second_budget_stops_a_small_search(tmp_path, flags, env):
 
 @pytest.mark.parametrize("command", ["solve", "metrics"])
 @pytest.mark.parametrize(
-    "flags,env,field",
+    "flags,field",
     [
-        (["--max-nodes", "-1"], None, "max_nodes"),
-        (["--max-seconds", "-1"], None, "max_seconds"),
-        (["--max-seconds", "nan"], None, "max_seconds"),
-        ([], {"SEQVOTE_BUDGET_SECONDS": "-5"}, "max_seconds"),
-        ([], {"SEQVOTE_BUDGET_SECONDS": "nan"}, "max_seconds"),
+        (["--max-nodes", "-1"], "max_nodes"),
+        (["--max-seconds", "-1"], "max_seconds"),
+        (["--max-seconds", "nan"], "max_seconds"),
     ],
-    ids=["max-nodes-negative", "max-seconds-negative", "max-seconds-nan",
-         "env-seconds-negative", "env-seconds-nan"],
+    ids=["max-nodes-negative", "max-seconds-negative", "max-seconds-nan"],
 )
-def test_bad_budget_exits_1(tmp_path, command, flags, env, field):
+def test_bad_budget_exits_1(tmp_path, command, flags, field):
     """A budget no search can honour is bad input, rejected before any
     search starts; it is not a budget hit, nor a budget that never fires."""
     graph = tmp_path / "g.json"
     graph.write_text(network.serialize(gen_paper_instance(InstanceSpec("example2"))))
     where = ["--graph", str(graph)] if command == "solve" else ["--in", str(tmp_path)]
-    result = run_cli(command, *where, "--rule", "plurality", *flags, env=env)
+    result = run_cli(command, *where, "--rule", "plurality", *flags)
     assert result.returncode == 1
     assert result.stderr.startswith("error:") and field in result.stderr, result.stderr
     assert result.stdout == ""
@@ -330,3 +302,46 @@ def test_in_process_solves_do_not_retain_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert retained < 500 * calls, retained / calls
+
+
+VERIFY_CHECKS = [
+    ("check_golden_instances", "golden_instances"),
+    ("check_oracle_equivalence", "oracle_equivalence"),
+    ("check_low_outdegree_suite", "low_outdegree_suite"),
+    ("check_approval_bound_suite", "approval_bound_suite"),
+    ("check_plurality_bound_suite", "plurality_bound_suite"),
+    ("check_truthful_on_path", "truthful_on_path"),
+    ("check_comparator_equivalence", "comparator_equivalence"),
+    ("check_determinism", "determinism"),
+]
+
+
+def test_verify_paper_prints_one_row_per_criterion(monkeypatch):
+    """With every check stubbed, ``verify-paper`` prints its header and one
+    row per criterion in ``run_all``'s order; one failing check makes its
+    row FAIL and the exit code 3."""
+    failing = set()
+
+    def stub(name):
+        def check(*args, **kwargs):
+            return verify.CheckResult(name, name not in failing, 1.5, f"{name} detail")
+
+        return check
+
+    for function, name in VERIFY_CHECKS:
+        monkeypatch.setattr(verify, function, stub(name))
+    runner = CliRunner()
+    result = runner.invoke(cli.cli, ["verify-paper"])
+    assert result.exit_code == 0, result.output
+    lines = result.stdout.splitlines()
+    assert lines == ["criterion,status,seconds,detail"] + [
+        f'{name},pass,1.5,"{name} detail"' for _, name in VERIFY_CHECKS
+    ]
+
+    failing.add("approval_bound_suite")
+    result = runner.invoke(cli.cli, ["verify-paper"])
+    assert result.exit_code == 3
+    rows = result.stdout.splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [
+        [name, "FAIL" if name in failing else "pass"] for _, name in VERIFY_CHECKS
+    ]

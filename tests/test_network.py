@@ -3,9 +3,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from seqvote import network as net
+from seqvote.experiments import instance_metrics
 from seqvote.network import ConfirmationNetwork, NetworkError
 
 
@@ -136,3 +137,27 @@ def test_round_trip_any_graph(g):
 def test_gap_never_negative(g):
     for a in range(g.n):
         assert net.additive_gap(g, a) >= 0
+
+
+@given(graphs())
+@example(ConfirmationNetwork.build(2, []))  # 0/0 reads 1
+@example(ConfirmationNetwork.build(3, [(1, 0), (2, 0)]))  # x/0 reads inf
+def test_instance_metrics_match_a_count_over_the_edges(g):
+    """Every agent's popularity, top popularity without its own out-edges,
+    gap and ratio, against a count from scratch over ``g.edges``."""
+    metrics = instance_metrics(g, range(g.n))
+    assert [m.agent for m in metrics.per_winner] == list(range(g.n))
+    for m in metrics.per_winner:
+        w = m.agent
+        popularity = sum(1 for _, dst in g.edges if dst == w)
+        top = max(sum(1 for src, dst in g.edges if dst == a and src != w) for a in range(g.n))
+        assert m.popularity == popularity
+        assert m.top_popularity_without_own_edges == top
+        assert m.gap == top - popularity
+        if popularity:
+            assert m.ratio == Fraction(top, popularity)
+        elif top:
+            assert m.ratio == math.inf
+        else:
+            assert m.ratio == 1
+
