@@ -18,7 +18,8 @@ of games.  Each game and configuration gives one comparison of:
 
 The games are the 300 ``oracle_specs()`` games, each also from a mid-game
 state, the first 150 ``plurality_bound_specs()`` games, 150 seeded random
-games with n <= 7 under three rules, and ten catalog games.  It prints
+games with n <= 7 under three rules, and thirteen catalog games, among
+them every game of perfbench's ``solve_catalog`` workload.  It prints
 ``comparisons N, mismatches M`` with the first mismatches, the gravest kind
 first (see below), and a tally of all of them by configuration label
 (``no-pruning/set/budget 69``, and ``record`` for fingerprints).
@@ -103,7 +104,10 @@ def games(sv) -> list[tuple[str, object, object, object]]:
         ("example2", None, b.APPROVAL),
         ("g_k", 2, b.PLURALITY),
         ("plurality_chain_fig5", None, b.PLURALITY),
+        ("plurality_chain", 3, b.PLURALITY),
         ("plurality_chain", 4, b.PLURALITY),
+        ("h_k", 2, b.PLURALITY),
+        ("kapproval_chain", 2, b.PLURALITY),
         ("kapproval_chain", 1, b.k_approval(2)),
         ("kapproval_chain", 2, b.k_approval(2)),
         ("h_k", 2, b.APPROVAL),

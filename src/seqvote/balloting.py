@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -64,8 +65,9 @@ def rule_from_strings(name: str, k: int | None = None) -> Rule:
     return Rule(name)
 
 
-def legal_ballots(rule: Rule, voter: int, n: int) -> list[frozenset[int]]:
-    """All legal ballots for ``voter``, in canonical order.
+def ballot_members(rule: Rule, voter: int, n: int) -> Iterator[tuple[int, ...]]:
+    """The members of every legal ballot for ``voter``, ascending, in
+    canonical order.
 
     Canonical order: ascending cardinality, then lexicographic on the sorted
     member indices.  The empty ballot (abstention) is always first.
@@ -76,11 +78,14 @@ def legal_ballots(rule: Rule, voter: int, n: int) -> list[frozenset[int]]:
     if rule.kind == "k_approval" and cap < 1:
         raise RuleError(f"ballot cap must be >= 1, got {cap}")
     others = [a for a in range(n) if a != voter]
-    out: list[frozenset[int]] = []
     for size in range(0, min(cap, len(others)) + 1):
-        for combo in combinations(others, size):
-            out.append(frozenset(combo))
-    return out
+        yield from combinations(others, size)
+
+
+def legal_ballots(rule: Rule, voter: int, n: int) -> list[frozenset[int]]:
+    """All legal ballots for ``voter``, in canonical order (see
+    :func:`ballot_members`)."""
+    return [frozenset(members) for members in ballot_members(rule, voter, n)]
 
 
 def apply_ballot(scores: tuple[int, ...], ballot: frozenset[int]) -> tuple[int, ...]:

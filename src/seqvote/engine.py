@@ -22,13 +22,6 @@ Exact cuts (``use_pruning``), none of which changes a result:
   dead.  Dead agents' scores are masked out of memo keys, and a ballot
   approving a dead agent the mover does not confirm is dominated by the same
   ballot without it.
-- Quiescent suffix.  When no voter still to move confirms a live agent, the
-  current leader wins every SPE of the subgame: by backward induction, a
-  vote for a live agent costs its voter -g and can only elect someone that
-  voter values at level 0, and a vote for a dead agent changes no winner.
-  A quiescent child is settled at its parent, from the parent's own scores,
-  without a call of its own: its entry depends only on its mover and leader
-  and comes from a per-call table.  Quiescent states are never stored.
 - Threat bound, the set-valued form of alpha-beta pruning (Knuth & Moore,
   1975).  Agent ``z`` is hopeful when it ties or passes the leader's (votes,
   tie-break precedence) with only the votes of the voters still to move
@@ -67,6 +60,24 @@ Exact cuts (``use_pruning``), none of which changes a result:
   ``m1`` has a policy outcome of at least ``m1``, so ``b`` is not the
   policy's choice either.  ``b`` is skipped, but a later ballot's child can
   have a larger bound, so the pass goes on.
+- Sole-hopeful states.  The leader is always hopeful; where it is the only
+  hopeful agent, the lemma alone fixes the outcome, and the state is
+  settled before its ballots are listed: the leader wins every SPE, and the
+  entry depends only on the mover and the leader.  It comes from a per-call
+  table and is stored in the memo like a searched entry, except at a
+  call's root, which no probe looks for.  It is exact under a policy too.
+  Every ballot of the best bonus has ``g = 0``: it approves only agents the
+  mover confirms, whose votes plus their confirmers' votes do not change,
+  so the child's only hopeful agent is still the leader, and its outcome is
+  the leader.  By the lemma every other outcome of any ballot is the leader
+  or at level 0 for the mover, never above the leader's level.  So the
+  policy's pick is the first ballot of the best bonus, or under
+  ``bias_toward(t)`` the first of those approving ``t``, and its child's
+  entry is the table's for the same leader one depth on.  A quiescent
+  state, where no voter still to move confirms a live agent, is the special
+  case where no live agent but the leader is hopeful; a quiescent child is
+  settled at its parent, from the parent's own scores, with no call of its
+  own, and is not stored.
 
 A node is one pass over its ballots, which also tracks the policy's pick.
 Keys pack as ``level * unit + base`` with ``base < unit``, so ballot ``b``'s
@@ -81,7 +92,8 @@ sum(scores[a] * 256**a)``, and a ballot adds a fixed delta to it (an
 incremental key, after Zobrist 1970).  A parent probes the memo for each
 child with this raw key; on a miss, and when the child is not quiescent,
 with the child's canonical key, and the raw key is stored as an alias of
-the canonical entry.  The canonical key sets all bits of each dead agent's
+the canonical entry while the aliases number fewer than four per entry
+(``_ALIAS_CAP``).  The canonical key sets all bits of each dead agent's
 digit, a value no score reaches, and gives live agent ``z`` the digit
 ``s_z - S + R``, with ``S`` the leader's score and ``R`` the voters still to
 move: ``z`` trails the leader by at most ``R``, so no digit borrows or
@@ -97,20 +109,20 @@ into frozensets only when a call returns.
 
 Under a policy an entry is ``(winners, policy winner, policy ballot, child
 entry)``, linking to the entry of the child its ballot leads to, and a
-quiescent table entry to the same leader's entry one depth on; without one
-it is ``(winners,)``.  The selected equilibrium's path is the chain of
-ballots from the root's entry, so it comes out of the one search, under its
-budget.
+settled state's table entry to the same leader's entry one depth on;
+without one it is ``(winners,)``.  The selected equilibrium's path is the
+chain of ballots from the root's entry, so it comes out of the one search,
+under its budget.
 """
 
 from __future__ import annotations
 
 import struct
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from operator import itemgetter
 
-from .balloting import Rule, apply_ballot, legal_ballots
+from .balloting import Rule, apply_ballot, ballot_members, legal_ballots
 from .balloting import winner as score_winner
 from .network import ConfirmationNetwork
 from .preferences import assess, outcome_level
@@ -118,6 +130,10 @@ from .preferences import assess, outcome_level
 _TIME_CHECK_MASK = 0x3FF  # check the wall clock on node 1, then every 1024 nodes
 _NEVER = 1 << 64  # a node count no search reaches: no check is due
 _NAIVE_MAX_LEAVES = 4_000_000  # the oracle's game-tree size limit
+# Raw-key aliases the memo keeps per canonical entry at most.  Past it a raw
+# miss takes the canonical-key path, which counts the same node and hit.
+# Catalog-sized games store about 3 per entry, h_k(3) approval 20 or more.
+_ALIAS_CAP = 4
 
 
 @dataclass(frozen=True)
@@ -158,12 +174,13 @@ class SolveStats:
     cache_hits: int = 0
     cache_size: int = 0
     wall_seconds: float = 0.0
-    quiescent: int = 0  # quiescent-suffix shortcuts taken
+    quiescent: int = 0  # states settled as sole-hopeful (quiescent ones included)
     bound_skips: int = 0  # ballots the threat bound skipped
     memo_aliases: int = 0  # raw state keys stored next to canonical entries
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name, in declaration order (a shallow copy)."""
+        return dict(vars(self))
 
 
 class BudgetExceededError(RuntimeError):
@@ -220,7 +237,7 @@ class Solver:
     ``use_memo`` and ``use_pruning`` exist so the soundness suites can
     compare every configuration; both default on, and neither changes any
     result.  ``use_pruning`` covers every exact cut: dead agents in memo keys
-    and ballot lists, the quiescent-suffix shortcut and the threat bound.
+    and ballot lists, the threat bound and the sole-hopeful settle.
     With it off the search is the plain recursion over every legal ballot,
     in the same visit order under a bound that never fires, which moves no
     result and no counter of a completed search; :func:`naive_achievable_winners`
@@ -231,19 +248,21 @@ class Solver:
     still to move can carry it to the lead, since no SPE elects anyone
     through a vote its voter pays ``-g`` for.  ``_cr[i][z]`` holds those
     votes.  The bound is taken at a node, for all its ballots, and at each
-    ballot's child, for that ballot alone.
+    ballot's child, for that ballot alone.  Where the leader is the only
+    hopeful agent, the lemma settles the state outright.
 
-    A quiescent state is a node and counts in ``quiescent`` wherever it is
-    met: a call's root is settled by :meth:`_root`, any other state at its
-    parent.  A terminal state is not a node.
+    A settled state is a node and counts in ``quiescent``: a sole-hopeful
+    state is settled by :meth:`_search` once its hopeful agents are known,
+    a call's root included, and a quiescent child at its parent.  A
+    terminal state is not a node.
 
-    The memo also keeps raw state keys as aliases of canonical entries.  A
-    hit on an alias is a memo hit and a node, as a canonical hit is, so
-    counters and budgets are those of a memo without aliases; ``cache_size``
-    counts canonical entries and ``memo_aliases`` the raw keys stored, in
-    games with no dead agents too, since canonical keys translate.  Both
-    probes of a child happen at its parent, so a canonical hit, like a
-    settled child, costs no call.
+    The memo also keeps raw state keys as aliases of canonical entries, up
+    to ``_ALIAS_CAP`` per canonical entry.  A hit on an alias is a memo hit
+    and a node, as a canonical hit is, so counters and budgets are those of
+    a memo without aliases; ``cache_size`` counts canonical entries and
+    ``memo_aliases`` the raw keys stored, in games with no dead agents too,
+    since canonical keys translate.  Both probes of a child happen at its
+    parent, so a canonical hit, like a settled child, costs no call.
 
     Node accounting is inline: each node adds one to ``_nodes`` and calls
     :meth:`_check` only when the count reaches ``_check_at``.
@@ -267,12 +286,17 @@ class Solver:
         n = g.n
         self.n = n
         self._order = g.voting_order
+        self._bits = bits_of = [1 << a for a in range(n)]
+        self._all = (1 << n) - 1
+        self._conf_mask = conf_of = [sum(bits_of[a] for a in g.out_neighbors[x]) for x in range(n)]
         # Preference keys (level, -g, f) packed into ints that compare the
         # same way: level * unit + base, with base = (n - g) * (n + 1) + f.
+        # Levels: 2 for the voter itself, 1 for an agent it confirms, else 0.
         radix = n + 1
         unit = radix * radix
         self._level = [
-            [outcome_level(g, x, w) * unit for w in range(n)] for x in range(n)
+            [(2 if w == x else conf >> w & 1) * unit for w in range(n)]
+            for x, conf in enumerate(conf_of)
         ]
         self._unit = unit
         self._no_bound = 3 * unit  # above every key: the bound never fires
@@ -282,25 +306,32 @@ class Solver:
         bits, code = (8, "B") if n < 255 else (16, "H") if n < 65535 else (32, "I")
         self._digits = struct.Struct(f"<{n}{code}")  # unpacks the score digits
         self._nbytes = (n + 1) * bits // 8
-        self._pows = [1 << bits * a for a in range(n)]
-        self._istep = 1 << bits * n
-        self._fills = [((1 << bits) - 1) * w for w in self._pows]
+        self._pows = pows = [1 << bits * a for a in range(n)]
+        self._istep = istep = 1 << bits * n
+        self._fills = [((1 << bits) - 1) * w for w in pows]
         # Ballot lists per voter in visit order, best bonus first (g
         # ascending, f descending), canonical order among equals: (members,
-        # member bitmask, base, key delta from a state to its child).
+        # member bitmask, base, key delta from a state to its child).  A
+        # ballot's f is its members the voter confirms, its g the others;
+        # its bitmask and delta are the same for every voter casting it.
         self._visit_order: list[list[tuple[tuple[int, ...], int, int, int]]] = []
-        for x in range(n):
+        masks: dict[tuple[int, ...], tuple[int, int]] = {}  # (bitmask, delta) by members
+        for x, conf in enumerate(conf_of):
             entries = []
-            for b in legal_ballots(rule, x, n):
-                f, gcnt = assess(g, x, b)
-                members = tuple(sorted(b))
-                delta = self._istep + sum(self._pows[a] for a in members)
-                entries.append((members, sum(1 << a for a in members), (n - gcnt) * radix + f, delta))
-            self._visit_order.append(sorted(entries, key=itemgetter(2), reverse=True))
+            for members in ballot_members(rule, x, n):
+                known = masks.get(members)
+                if known is None:
+                    known = masks[members] = (
+                        sum([bits_of[a] for a in members]),
+                        istep + sum([pows[a] for a in members]),
+                    )
+                bmask, delta = known
+                f = (bmask & conf).bit_count()
+                gcnt = len(members) - f
+                entries.append((members, bmask, (n - gcnt) * radix + f, delta))
+            entries.sort(key=itemgetter(2), reverse=True)
+            self._visit_order.append(entries)
         self._ballot_cache: dict[tuple[int, int], list] = {}
-        self._bits = [1 << a for a in range(n)]
-        self._all = (1 << n) - 1
-        self._conf_mask = [sum(1 << a for a in g.out_neighbors[x]) for x in range(n)]
         self._confirmed = [[(a, 1 << a) for a in sorted(g.out_neighbors[x])] for x in range(n)]  # (agent, bit)
         # Agents at level 0 for x: approving a dead one is dominated.
         self._unconf = [self._all & ~self._conf_mask[x] & ~(1 << x) for x in range(n)]
@@ -350,8 +381,8 @@ class Solver:
         self._bound_skips = 0
         self._aliases = 0
         self._max_nodes = self.budget.max_nodes
-        # Entries of quiescent states by depth and leader; depth n: terminal,
-        # each of one slot without a policy.
+        # Entries of settled (sole-hopeful) states by depth and leader; depth
+        # n: terminal, each of one slot without a policy.
         quiet = [[(1 << w,) if policy is None else (1 << w, w, None, None) for w in range(self.n)]]
         for x in reversed(self._order):
             quiet.append(self._settled(x, quiet[-1]))
@@ -479,8 +510,10 @@ class Solver:
             state = SubgameState(0, (0,) * self.n)
         state.validate(self.n)
         self._start(policy)
+        i, p = state.i, self._pack(state)
         try:
-            entry = self._root(state.i, self._pack(state))
+            # The root is the one state no parent derives facts for.
+            entry = self._search(i, p, self._known(i, p) if self.use_pruning else None)
         finally:
             self.last_stats = self._stats()
         winners = frozenset(a for a in range(self.n) if entry[0] >> a & 1)
@@ -504,23 +537,6 @@ class Solver:
         winners, winner, path = self.solve(state, policy)
         return PolicyResult(path=path, winner=winner, winners=winners)
 
-    def _root(self, i: int, p: int):
-        """Entry of a call's root ``p``, the one state with no parent in the
-        search.  With pruning it finds the root's :meth:`_known` facts and
-        settles a quiescent root as a parent settles a quiescent child: one
-        node, from the per-call table.  Any other root is searched."""
-        if not self.use_pruning or i == self.n:
-            return self._search(i, p)
-        known = self._known(i, p)
-        dead, _vals, lead, _key = known
-        if (self._all ^ dead) & self._later_conf[i]:
-            return self._search(i, p, known)
-        self._nodes += 1
-        if self._nodes >= self._check_at:
-            self._check()
-        self._quiescent += 1
-        return self._quiet[i][self._leader_of[lead % self.n]]
-
     def _search(self, i: int, p: int, known=None):
         """Entry of state ``p``, searched; no probe has found it.  One pass
         over the ballots, in visit order, finds every child entry, the
@@ -531,7 +547,7 @@ class Solver:
         it derives ``known`` (the child's dead mask, ``votes * n +
         precedence`` keys, lead key and canonical key), probes the memo
         with the canonical key and calls this method with ``known`` only on
-        a miss.  :meth:`_root` gives a call's root its ``known``; without
+        a miss.  :meth:`solve` gives a call's root its ``known``; without
         pruning it is None and unused.
 
         A child's lead key ``top`` is the parent's, or a member's key after
@@ -543,6 +559,9 @@ class Solver:
         it is quiescent when every agent a later voter confirms is dead.  A
         terminal child is never probed, and where no later voter confirms
         anyone every child needs only its leader, not the masks.
+
+        A state whose only hopeful agent is its leader (see below) is
+        settled from the per-call table before its ballots are listed.
 
         The threat bound is the mover's best level over the state's hopeful
         agents, those whose key plus ``_cr[i]`` reaches the lead: every
@@ -572,11 +591,19 @@ class Solver:
         nonterminal = i + 1 < n  # terminal children are never stored, nor settled as nodes
         if self.use_pruning:
             dead, vals, lead, key = known
-            ballots = self._ballots_at(x, dead)
             bits = self._bits
-            # The mover's best level over hopeful agents: no ballot reaches more.
             cr = self._cr[i]
             hopeful = sum([bit for v, c, bit in zip(vals, cr, bits) if v + c >= lead])
+            leader = self._leader_of[lead % n]
+            if hopeful == bits[leader]:
+                # Only the leader can win: the state is settled from the
+                # per-call table, and stored unless it is node 1, the
+                # call's root, which nothing probes.
+                self._quiescent += 1
+                entry = self._quiet[i][leader]
+                return entry if self._nodes == 1 else self._store(key, p, entry)
+            ballots = self._ballots_at(x, dead)
+            # The mover's best level over hopeful agents: no ballot reaches more.
             bound = self._unit * (2 if hopeful >> x & 1 else 1 if hopeful & self._conf_mask[x] else 0)
             # The mover is hopeful in a child of lead key top when this
             # reaches top: it never approves or confirms itself.
@@ -675,8 +702,9 @@ class Solver:
                         if self._nodes >= self._check_at:
                             self._check()
                         self._hits += 1
-                        self._aliases += 1
-                        memo[q] = child
+                        if self._aliases < _ALIAS_CAP * (len(memo) - self._aliases):
+                            self._aliases += 1
+                            memo[q] = child
                     else:
                         child_vals = vals.copy()
                         for a in members:
@@ -704,28 +732,33 @@ class Solver:
         level = m1 // unit
         winners = pre & at_least[level] | acc & at_least[level + 1]
         entry = (winners,) if policy is None else (winners, picked[1], pick, picked)
+        return self._store(key, p, entry)
+
+    def _store(self, key: int, p: int, entry: tuple) -> tuple:
+        """Memoize ``entry`` of state ``p`` under its memo key ``key``, and
+        ``p`` as an alias of it while the aliases number fewer than
+        ``_ALIAS_CAP`` per canonical entry."""
         if self.use_memo:
+            memo = self._memo
             memo[key] = entry
-            if key != p:
+            if key != p and self._aliases < _ALIAS_CAP * (len(memo) - self._aliases):
                 self._aliases += 1
                 memo[p] = entry
         return entry
 
     def _settled(self, x: int, after: list) -> list:
-        """Entries of the quiescent states where ``x`` moves, by leader,
-        given ``after``, those one depth on.  In such a state no voter still
-        to move confirms a live agent, and the leader wins every SPE.
+        """Entries of the sole-hopeful states where ``x`` moves, by leader,
+        given ``after``, those one depth on.  In such a state the leader is
+        the only hopeful agent, and it wins every SPE (see the module
+        docstring).
 
-        By backward induction, a vote for a live agent costs the voter -g
-        and can only elect someone it values at level 0, and a vote for a
-        dead agent changes no winner.  Under a policy the mover casts what
-        :meth:`_search` would pick: the first ballot in visit order, which
-        maximizes ``(-g, f)``, or under ``bias_toward(t)`` the first of
-        those approving ``t``.  They approve no unconfirmed agent, so
-        the dead-agent ban never removes them: the entry does not depend on
-        which agents are dead.  Its ballot approves only agents the mover
-        confirms, all of them dead, so its child is quiescent with the same
-        leader: ``after``'s entry for that leader.
+        Under a policy the mover casts what :meth:`_search` would pick: the
+        first ballot in visit order, which maximizes ``(-g, f)``, or under
+        ``bias_toward(t)`` the first of those approving ``t``.  They approve
+        no unconfirmed agent, so the dead-agent ban never removes them: the
+        entry does not depend on which agents are dead.  Its child's only
+        hopeful agent is the same leader, so its entry is ``after``'s entry
+        for that leader.
         """
         if self._policy is None:
             return after

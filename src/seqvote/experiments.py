@@ -102,13 +102,15 @@ def instance_metrics(g: ConfirmationNetwork, winners) -> InstanceMetrics:
     winners = sorted(winners)
     per_winner = []
     for w in winners:
+        d_w = net.popularity(g, w)
+        top = net.top_popularity_without_own_edges(g, w)
         per_winner.append(
             WinnerMetrics(
                 agent=w,
-                popularity=net.popularity(g, w),
-                top_popularity_without_own_edges=net.top_popularity_without_own_edges(g, w),
-                gap=net.additive_gap(g, w),
-                ratio=net.ratio(g, w),
+                popularity=d_w,
+                top_popularity_without_own_edges=top,
+                gap=top - d_w,
+                ratio=net.popularity_ratio(top, d_w),
             )
         )
     ratios = [m.ratio for m in per_winner]

@@ -139,14 +139,17 @@ def additive_gap(g: ConfirmationNetwork, w: int) -> int:
 
 
 def ratio(g: ConfirmationNetwork, w: int) -> Fraction | float:
-    """Popularity ratio of the most popular agent to ``w``, ignoring w's own out-edges.
+    """Popularity ratio of the most popular agent to ``w``, ignoring w's own out-edges."""
+    return popularity_ratio(top_popularity_without_own_edges(g, w), popularity(g, w))
+
+
+def popularity_ratio(top: int, d_w: int) -> Fraction | float:
+    """``top / d_w``, the ratio of a top popularity to a winner's.
 
     Convention for a zero denominator (never evaluated by the source
     definitions): 0/0 is 1 and x/0 with x > 0 is +inf, so aggregation over
     winner sets stays total.  +inf is reported distinctly.
     """
-    top = top_popularity_without_own_edges(g, w)
-    d_w = popularity(g, w)
     if d_w == 0:
         return Fraction(1) if top == 0 else math.inf
     return Fraction(top, d_w)

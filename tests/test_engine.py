@@ -20,6 +20,7 @@ from seqvote.engine import (
 )
 from seqvote.families import InstanceSpec, RandomSpec, gen_paper_instance, gen_random
 from seqvote.network import ConfirmationNetwork, to_json_dict
+from seqvote.preferences import assess, outcome_level
 from seqvote.verify import low_outdegree_verdict, oracle_specs
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -110,10 +111,10 @@ def test_memo_and_pruning_do_not_change_results():
 # (name, k, rule, policy, use_pruning) and the search's counters: nodes,
 # cache_hits, cache_size, quiescent, bound_skips, memo_aliases.
 PINNED = [
-    ("plurality_chain", 4, PLURALITY, None, True, (1181, 151, 298, 732, 2098, 298)),
-    ("h_k", 2, APPROVAL, Policy.canonical(), True, (408, 215, 145, 48, 7345, 155)),
-    ("kapproval_chain", 2, k_approval(2), None, True, (2340, 246, 390, 1704, 15601, 390)),
-    ("kapproval_chain", 1, k_approval(2), Policy.bias_toward(5), True, (395, 54, 105, 236, 1916, 105)),
+    ("plurality_chain", 4, PLURALITY, None, True, (993, 151, 298, 591, 1769, 298)),
+    ("h_k", 2, APPROVAL, Policy.canonical(), True, (367, 200, 132, 60, 5922, 130)),
+    ("kapproval_chain", 2, k_approval(2), None, True, (2190, 246, 390, 1579, 14601, 390)),
+    ("kapproval_chain", 1, k_approval(2), Policy.bias_toward(5), True, (374, 54, 105, 222, 1783, 105)),
     ("plurality_chain", 3, PLURALITY, Policy.canonical(), False, (39873, 28461, 11412, 0, 0, 0)),
     ("example1", None, APPROVAL, Policy.canonical(), False, (8913, 7076, 1837, 0, 0, 0)),
 ]
@@ -308,10 +309,11 @@ def test_naive_oracle_pins_the_papers_examples():
 
 
 def test_naive_oracle_matches_an_independent_brute_force(monkeypatch):
-    """The oracle and the solver share legal_ballots, assess and
-    outcome_level, so comparing one with the other cannot catch a fault in
-    those.  perfbench's checker imports nothing from seqvote and builds its
-    ballots and utilities on its own."""
+    """The oracle and the solver share the canonical ballot enumeration, and
+    the solver's tables are checked against assess and outcome_level, so
+    comparing one with the other cannot catch a fault in those.
+    perfbench's checker imports nothing from seqvote and builds its ballots
+    and utilities on its own."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     checker = importlib.import_module("checker")
     mismatches = []
@@ -330,6 +332,36 @@ def test_naive_oracle_refuses_oversized_games():
     g = gen_random(RandomSpec(n=9, p=0.3, max_out=None, seed=1))
     with pytest.raises(NaiveSizeError):
         naive_achievable_winners(g, APPROVAL)
+
+
+@pytest.mark.parametrize(
+    "rule", [PLURALITY, APPROVAL, k_approval(2)], ids=["plurality", "approval", "2-approval"]
+)
+def test_solver_tables_follow_the_preference_definitions(rule):
+    """The solver builds its ballot and level tables from bitmasks.  Each
+    voter's visit order is legal_ballots stably sorted by the base that
+    assess gives, (n - g) * (n + 1) + f, best first, with each ballot's
+    member bitmask and the key delta _pack gives a first vote; its levels
+    are outcome_level times the key unit."""
+    for n in range(1, 7):
+        for j, p in enumerate((0.0, 0.3, 0.6, 1.0)):
+            g = gen_random(RandomSpec(n=n, p=p, max_out=None, seed=9100 + 10 * n + j))
+            solver = Solver(g, rule)
+            empty = (0,) * n
+            for x in range(n):
+
+                def base(b):
+                    f, gcnt = assess(g, x, b)
+                    return (n - gcnt) * (n + 1) + f
+
+                expected = [
+                    (b, sum(1 << a for a in b), base(b), solver._pack(SubgameState(1, apply_ballot(empty, b))))
+                    for b in sorted(legal_ballots(rule, x, n), key=base, reverse=True)
+                ]  # (ballot, bitmask, base, key delta of a first vote)
+                got = [(frozenset(m), bmask, b, delta) for m, bmask, b, delta in solver._visit_order[x]]
+                assert got == expected, (n, p, x)
+                assert all(list(m) == sorted(m) for m, *_ in solver._visit_order[x])
+                assert solver._level[x] == [outcome_level(g, x, w) * solver._unit for w in range(n)]
 
 
 # -- subgames and repeated calls --------------------------------------------------
@@ -362,6 +394,13 @@ def test_solving_from_a_mid_game_state():
         ("g_k", 2, PLURALITY, 7, (0, 0, 0, 0, 1, 0, 0, 0), 0),
         ("g_k", 2, APPROVAL, 7, (0, 0, 0, 0, 1, 0, 0, 0), 0),
         ("example2", None, PLURALITY, 4, (0, 0, 1, 1), 0),
+        # Sole-hopeful and not quiescent: a later voter confirms a live agent
+        # other than the leader, but that agent's confirmers' votes cannot
+        # carry it to the lead.  Under plurality and 2-approval the mover has
+        # several best-bonus ballots, so the bias policies pick different ones.
+        ("plurality_chain", 3, PLURALITY, 2, (0, 0, 1, 0, 0, 0, 0, 1), 1),
+        ("example1", None, APPROVAL, 3, (2, 1, 1, 0, 2), 1),
+        ("kapproval_chain", 1, k_approval(2), 2, (0, 0, 0, 0, 0, 2, 0), 1),
     ],
     ids=[
         "mid-game",
@@ -370,13 +409,17 @@ def test_solving_from_a_mid_game_state():
         "last-voter-live-plurality",
         "last-voter-live-approval",
         "terminal",
+        "sole-hopeful-plurality",
+        "sole-hopeful-approval",
+        "sole-hopeful-2-approval",
     ],
 )
 def test_solving_from_a_quiescent_or_last_voter_state(name, k, rule, i, scores, quiescent):
-    """A call's own root is never settled at a parent.  From a quiescent
-    root, from a root whose children are terminal and from a terminal root,
-    the pruned search gives what the plain recursion gives, under every
-    policy.  A terminal root is not a node."""
+    """A call's own root is never settled at a parent.  From a quiescent or
+    sole-hopeful root, settled as one node, from a root whose children are
+    terminal and from a terminal root, the pruned search gives what the
+    plain recursion gives, under every policy.  A terminal root is not a
+    node."""
     g = gen_paper_instance(InstanceSpec(name, k))
     state = SubgameState(i, scores)
     policies = [None, Policy.canonical()] + [Policy.bias_toward(t) for t in range(g.n)]
