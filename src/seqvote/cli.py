@@ -7,6 +7,7 @@ and diagnostics go to stderr.  Exit codes: 0 success, 1 invalid input,
 
 from __future__ import annotations
 
+import io
 import json
 import sys
 from pathlib import Path
@@ -146,7 +147,10 @@ def metrics(in_path, rule_name, k, max_nodes, max_seconds, out):
     sources = []
     if path.is_dir():
         for f in sorted(path.glob("*.json")):
-            sources.append(net.parse(f.read_text()))
+            try:
+                sources.append(net.parse(f.read_text()))
+            except ValueError as exc:
+                raise click.UsageError(f"{f}: {exc}")
     elif path.is_file():
         for line_no, line in enumerate(path.read_text().splitlines(), start=1):
             line = line.strip()
@@ -159,8 +163,6 @@ def metrics(in_path, rule_name, k, max_nodes, max_seconds, out):
     else:
         raise click.UsageError(f"--in path {in_path} does not exist")
     records = run_batch(sources, rule, budget=budget)
-    import io
-
     buf = io.StringIO()
     write_records(records, buf)
     _write_output(buf.getvalue(), out)

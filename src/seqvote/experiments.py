@@ -232,6 +232,9 @@ class RunRecord:
                 )
             except (KeyError, TypeError) as exc:
                 raise RecordError(f"malformed metrics block: {exc}") from exc
+            gap = metrics.instance_gap
+            if isinstance(gap, bool) or not isinstance(gap, int):
+                raise RecordError("record field 'metrics.instance_gap' must be an integer")
         for field in ("instance", "verdicts", "stats"):
             if not isinstance(data.get(field, {}), dict):
                 raise RecordError(f"record field {field!r} must be a JSON object")

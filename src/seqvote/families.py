@@ -25,9 +25,6 @@ class InstanceSpec:
     name: str
     k: int | None = None
 
-    def label(self) -> str:
-        return self.name if self.k is None else f"{self.name}(k={self.k})"
-
 
 @dataclass(frozen=True)
 class RandomSpec:
@@ -43,10 +40,6 @@ class RandomSpec:
     p: float
     max_out: int | None = None
     seed: int = 0
-
-    def label(self) -> str:
-        cap = f",cap={self.max_out}" if self.max_out is not None else ""
-        return f"random(n={self.n},p={self.p}{cap},seed={self.seed})"
 
 
 def gen_random(spec: RandomSpec) -> ConfirmationNetwork:

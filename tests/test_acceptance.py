@@ -19,7 +19,7 @@ import pytest
 from seqvote import verify
 from seqvote.balloting import k_approval
 from seqvote.engine import Budget, Solver
-from seqvote.families import InstanceSpec, agent_index, gen_paper_instance
+from seqvote.families import InstanceSpec, agent_index, catalog_names, gen_paper_instance
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +50,42 @@ def test_golden_instances_report_a_budget_stop(monkeypatch):
     assert r.name == "golden_instances"
     assert not r.passed
     assert r.detail.startswith("budget exceeded"), r.detail
+
+
+def test_golden_claims_cover_the_catalog():
+    """Criterion 1 makes at least one claim about every catalog game."""
+    covered = {spec.name for spec, _rule, _seconds, _claims in verify.GOLDEN_CLAIMS}
+    assert set(catalog_names()) <= covered, set(catalog_names()) - covered
+
+
+def test_ensembles_are_pinned():
+    """Each randomized ensemble's size and exact ``(n, p, max_out, seed)``
+    sequence, so no change resizes or re-seeds one."""
+    cycle = (0.15, 0.3, 0.5, 0.75)
+    low_sizes = (3, 4, 5, 6, 7, 3, 4, 5, 6, 5)
+
+    def rows(specs):
+        return [(s.n, s.p, s.max_out, s.seed) for s in specs]
+
+    oracle = verify.oracle_specs()
+    assert len(oracle) == 300
+    assert [rule.label() for _, rule in oracle] == (
+        ["plurality"] * 100 + ["approval"] * 100 + ["k_approval(2)"] * 100
+    )
+    assert rows(spec for spec, _ in oracle) == (
+        [(2 + j % 4, cycle[j % 4], None, 1000 + j) for j in range(100)]
+        + [(2 + j % 3, cycle[j % 4], None, 2000 + j) for j in range(100)]
+        + [(2 + j % 3, cycle[j % 4], None, 3000 + j) for j in range(100)]
+    )
+    low = verify.low_outdegree_specs()
+    assert len(low) == 200
+    assert rows(low) == [(low_sizes[j % 10], cycle[j % 4], 1, 4000 + j) for j in range(200)]
+    approval = verify.approval_bound_specs()
+    assert len(approval) == 200
+    assert rows(approval) == [(3 + j % 4, cycle[j % 4], None, 5000 + j) for j in range(200)]
+    plurality = verify.plurality_bound_specs()
+    assert len(plurality) == 300
+    assert rows(plurality) == [(3 + j % 5, cycle[j % 4], None, 6000 + j) for j in range(300)]
 
 
 def _brute_force_winners(g, rule_cap, voters, scores):

@@ -195,6 +195,21 @@ def test_metrics_over_spec_jsonl(tmp_path):
     assert len(lines) == 2
 
 
+def test_metrics_names_the_bad_graph_file(tmp_path):
+    """A malformed graph in a directory exits 1 with ``<file>: <message>``,
+    as a bad spec line is reported with its ``<path>:<line>:``."""
+    (tmp_path / "a.json").write_text(
+        network.serialize(gen_paper_instance(InstanceSpec("example2")))
+    )
+    bad = tmp_path / "b.json"
+    bad.write_text(json.dumps({"n": 1, "edges": [[0, 0]]}))
+    result = run_cli("metrics", "--in", str(tmp_path), "--rule", "plurality")
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: {bad}: "), result.stderr
+    assert "self-loop" in result.stderr and "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
 def test_metrics_bad_spec_line_exits_1(tmp_path):
     specs = tmp_path / "specs.jsonl"
     specs.write_text('{"kind": "martian"}\n')
@@ -215,6 +230,12 @@ def test_metrics_bad_spec_line_exits_1(tmp_path):
         ("report", lambda doc: {**doc, "verdicts": {"a": "x"}}, "'verdicts.a'"),
         ("report", lambda doc: {**doc, "stats": {**doc["stats"], "wall_seconds": "x"}},
          "'stats.wall_seconds'"),
+        ("report", lambda doc: {**doc, "metrics": {**doc["metrics"], "instance_gap": [1]}},
+         "'metrics.instance_gap'"),
+        ("report", lambda doc: {**doc, "metrics": {**doc["metrics"], "instance_gap": "x"}},
+         "'metrics.instance_gap'"),
+        ("report", lambda doc: {**doc, "metrics": {**doc["metrics"], "instance_gap": True}},
+         "'metrics.instance_gap'"),
     ],
     ids=[
         "spec-not-an-object",
@@ -226,6 +247,9 @@ def test_metrics_bad_spec_line_exits_1(tmp_path):
         "instance-not-an-object",
         "verdict-not-a-bool",
         "wall-seconds-not-a-number",
+        "instance-gap-a-list",
+        "instance-gap-a-string",
+        "instance-gap-a-bool",
     ],
 )
 def test_malformed_input_line_exits_1_without_traceback(tmp_path, command, edit, field):
