@@ -18,8 +18,11 @@ of games.  Each game and configuration gives one comparison of:
 
 The games are the 300 ``oracle_specs()`` games, each also from a mid-game
 state, the first 150 ``plurality_bound_specs()`` games, 150 seeded random
-games with n <= 7 under three rules, and thirteen catalog games, among
-them every game of perfbench's ``solve_catalog`` workload.  It prints
+games with n <= 7 under three rules, nine seeded random games with n =
+9-12 (``LARGE``: five under plurality, four under 2-approval), and fifteen
+catalog games, among them every game of perfbench's ``solve_catalog``
+workload and ``plurality_chain(5)`` and ``(6)`` (n = 14 and 17).  Each of
+the larger games takes under a second per search.  It prints
 ``comparisons N, mismatches M`` with the first mismatches, the gravest kind
 first (see below), and a tally of all of them by configuration label
 (``no-pruning/set/budget 69``, and ``record`` for fingerprints).
@@ -60,6 +63,18 @@ KINDS = ("results", "fingerprints", "counters only", "budget stops")  # of misma
 FATAL = KINDS[:2]  # the kinds that fail the comparison, with any grown search
 GROWTH = (COUNTERS.index("nodes"), COUNTERS.index("cache_size"))  # must not grow
 SMALL_N = 4  # games this small also run with the memo and/or pruning off
+# Seeded random games with n = 9-12: (n, p, seed, rule name).
+LARGE = [
+    (9, 0.15, 7500, "plurality"),
+    (10, 0.15, 7501, "plurality"),
+    (11, 0.15, 7502, "plurality"),
+    (12, 0.15, 7503, "plurality"),
+    (10, 0.3, 7509, "plurality"),
+    (9, 0.15, 7504, "2-approval"),
+    (10, 0.15, 7505, "2-approval"),
+    (11, 0.1, 7515, "2-approval"),
+    (12, 0.05, 7517, "2-approval"),
+]
 
 
 def load(tree: Path, name: str) -> types.SimpleNamespace:
@@ -97,6 +112,10 @@ def games(sv) -> list[tuple[str, object, object, object]]:
         spec = fam.RandomSpec(n=3 + j % 5, p=(0.2, 0.4, 0.6)[j % 3], max_out=None, seed=7000 + j)
         rule = rules[j % 3]
         out.append((f"random/{spec.seed}/{rule.label()}", fam.gen_random(spec), rule, None))
+    for n, p, seed, rule_name in LARGE:
+        spec = fam.RandomSpec(n=n, p=p, max_out=None, seed=seed)
+        rule = b.PLURALITY if rule_name == "plurality" else b.k_approval(2)
+        out.append((f"large/{spec.seed}/{rule.label()}", fam.gen_random(spec), rule, None))
     for name, k, rule in (
         ("example1", None, b.PLURALITY),
         ("example1", None, b.APPROVAL),
@@ -106,6 +125,8 @@ def games(sv) -> list[tuple[str, object, object, object]]:
         ("plurality_chain_fig5", None, b.PLURALITY),
         ("plurality_chain", 3, b.PLURALITY),
         ("plurality_chain", 4, b.PLURALITY),
+        ("plurality_chain", 5, b.PLURALITY),
+        ("plurality_chain", 6, b.PLURALITY),
         ("h_k", 2, b.PLURALITY),
         ("kapproval_chain", 2, b.PLURALITY),
         ("kapproval_chain", 1, b.k_approval(2)),

@@ -87,25 +87,55 @@ threshold level ``ceil((m1 - base_b) / unit)`` is ``L = m1 // unit`` if
 prefix's child winners at level ``L`` or more, and all children's at ``L +
 1`` or more.
 
-The inner loop works on ints.  A state is one int, ``i * 256**n +
-sum(scores[a] * 256**a)``, and a ballot adds a fixed delta to it (an
-incremental key, after Zobrist 1970).  A parent probes the memo for each
-child with this raw key; on a miss, and when the child is not quiescent,
-with the child's canonical key, and the raw key is stored as an alias of
-the canonical entry while the aliases number fewer than four per entry
-(``_ALIAS_CAP``).  The canonical key sets all bits of each dead agent's
-digit, a value no score reaches, and gives live agent ``z`` the digit
-``s_z - S + R``, with ``S`` the leader's score and ``R`` the voters still to
-move: ``z`` trails the leader by at most ``R``, so no digit borrows or
-overflows.  It is exact, because the leader wins under a fixed tie-break:
-votes added to every live agent alike change no continuation's winner, no
-deadness and no preference key.  A key with no dead agents may equal a
-translated twin's raw key, which is the same class.  The parent derives
-the child's dead agents, key vector and canonical key from its own: a
-child's dead mask depends only on its lead key and the ballot's member
-bitmask, through two masks the parent finds once per lead key it meets.
-Only a call's root decodes its scores.  Winner sets are bitmasks, turned
-into frozensets only when a call returns.
+The inner loop works on ints.  A state is one int, ``i * B**n +
+sum(scores[a] * B**a)`` with digit base ``B = 2**width``, and a ballot adds
+a fixed delta to it (an incremental key, after Zobrist 1970).  A parent
+probes the memo for each child with this raw key; on a miss, and when the
+child is not quiescent, with the child's canonical key, and the raw key is
+stored as an alias of the canonical entry while the aliases number fewer
+than four per entry (``_ALIAS_CAP``).  The canonical key sets all bits of
+each dead agent's digit, a value no score reaches, and gives live agent
+``z`` the digit ``s_z - S + R``, with ``S`` the leader's score and ``R``
+the voters still to move: ``z`` trails the leader by at most ``R``, so no
+digit borrows or overflows.  It is exact, because the leader wins under a
+fixed tie-break: votes added to every live agent alike change no
+continuation's winner, no deadness and no preference key.  A key with no
+dead agents may equal a translated twin's raw key, which is the same class.
+
+The agent sets the search derives from scores are digit sets: ints in the
+state's own layout with the top bit of each member's digit set, so that one
+addition tests every agent at once (SWAR; Lamport, "Multiple byte
+processing with full-word instructions", CACM 1975).  Agents compare by
+key ``votes * n + precedence``, precedence ``n - 1`` for the first in
+tie-break order.  ``z`` with ``k`` more votes reaches key ``K = S * n + t``
+exactly when ``s_z + k + [precedence_z >= t] > S``.  So adding to a state a
+packed table of each agent's ``k`` (its votes still to come, or only its
+confirmers') and ``reaches[K]``, which holds that 0/1 tie-break digit plus
+a bias of ``B/2 - 1 - S`` in every digit, sets the top bit of ``z``'s digit
+exactly when ``z`` reaches ``K``.  No digit carries or borrows:
+``SubgameState.validate`` keeps every score at most ``i <= n``, a table
+digit is at most ``n + 1``, and the bias lies in ``[0, B/2)`` for every
+``S <= n + 1``, the largest the search meets.  The width is the smallest of
+8, 16 and 32 bits with ``n + 1 < B/4``, so that score plus table digit,
+at most ``2n + 1``, stays below ``B/2`` and the biased sum below ``B``: 8
+bits up to n = 62, the byte layout of plain packing, and 16 bits from n =
+63.  The one-vote-to-spare test subtracts one from every digit of a biased
+sum, whose digits are at least the bias, at least 1 for ``S <= n``.  The
+hopeful agents, the contenders, a child's dead agents and hope, and a call
+root's dead agents each take a few such additions, where a loop takes a
+step per agent.  A canonical key's fill and live ones come from the dead
+digit set by a shift each.
+
+Winner sets, and every mask read where a child is found by its raw key,
+stay bitmasks of ``n`` bits: small ints, which Python caches for ``n <=
+8``, on the path most ballots take.  A ballot carries its member digit set,
+for its contenders, its child's dead agents and the dead-agent ban.  The
+parent derives the child's dead agents and canonical key from its own: a
+child's dead digit set depends only on its lead key and the ballot's
+members, through two digit sets the parent finds once per lead key it
+meets, and that lead key is read from the digits of the ballot's
+contenders.  Only a call's root and a terminal state decode all the
+scores.  Winner sets become frozensets only when a call returns.
 
 Under a policy an entry is ``(winners, policy winner, policy ballot, child
 entry)``, linking to the entry of the child its ballot leads to, and a
@@ -176,6 +206,7 @@ class SolveStats:
     wall_seconds: float = 0.0
     quiescent: int = 0  # states settled as sole-hopeful (quiescent ones included)
     bound_skips: int = 0  # ballots the threat bound skipped
+    break_skips: int = 0  # of those, ballots never visited: the node-level break
     memo_aliases: int = 0  # raw state keys stored next to canonical entries
 
     def as_dict(self) -> dict:
@@ -246,10 +277,18 @@ class Solver:
     The threat bound rests on a lemma of the game (see the module
     docstring): an agent wins a subgame only if the votes of its confirmers
     still to move can carry it to the lead, since no SPE elects anyone
-    through a vote its voter pays ``-g`` for.  ``_cr[i][z]`` holds those
-    votes.  The bound is taken at a node, for all its ballots, and at each
-    ballot's child, for that ballot alone.  Where the leader is the only
-    hopeful agent, the lemma settles the state outright.
+    through a vote its voter pays ``-g`` for.  ``_conf_votes[i]`` holds
+    those votes, packed as a state's digits.  The bound is taken at a node,
+    for all its ballots, and at each ballot's child, for that ballot alone.
+    Where the leader is the only hopeful agent, the lemma settles the state
+    outright.
+
+    With pruning, a searched state is given ``known``: its dead agents as
+    a digit set, its leader's key and its canonical memo key.  A parent
+    derives it for each child it searches, and :meth:`_known` for a call's
+    root.  Every other fact the node needs comes from its packed state by a
+    few additions with the solver's packed tables (see the module
+    docstring).
 
     A settled state is a node and counts in ``quiescent``: a sole-hopeful
     state is settled by :meth:`_search` once its hopeful agents are known,
@@ -286,7 +325,7 @@ class Solver:
         n = g.n
         self.n = n
         self._order = g.voting_order
-        self._bits = bits_of = [1 << a for a in range(n)]
+        bits_of = [1 << a for a in range(n)]
         self._all = (1 << n) - 1
         self._conf_mask = conf_of = [sum(bits_of[a] for a in g.out_neighbors[x]) for x in range(n)]
         # Preference keys (level, -g, f) packed into ints that compare the
@@ -300,71 +339,76 @@ class Solver:
         ]
         self._unit = unit
         self._no_bound = 3 * unit  # above every key: the bound never fires
-        # A state (i, scores) packs into i * R**n + sum(scores[a] * R**a),
-        # R = 2**bits: a byte per digit unless n > 254.  Digits never
-        # exceed n < R - 1, so R - 1 serves as the dead-agent digit.
-        bits, code = (8, "B") if n < 255 else (16, "H") if n < 65535 else (32, "I")
+        # A state (i, scores) packs into i * B**n + sum(scores[a] * B**a),
+        # B = 2**width, the smallest of 2**8, 2**16 and 2**32 with n + 1 <
+        # B / 4 (see the module docstring).  A digit set is an int with
+        # the top bit of each member's digit set, B / 2 * B**a for agent a.
+        width, code = (8, "B") if n < 63 else (16, "H") if n < 16383 else (32, "I")
+        self._width = width
         self._digits = struct.Struct(f"<{n}{code}")  # unpacks the score digits
-        self._nbytes = (n + 1) * bits // 8
-        self._pows = pows = [1 << bits * a for a in range(n)]
-        self._istep = istep = 1 << bits * n
-        self._fills = [((1 << bits) - 1) * w for w in pows]
+        self._nbytes = (n + 1) * width // 8
+        self._pows = pows = [1 << width * a for a in range(n)]
+        self._istep = istep = 1 << width * n
+        self._ones = ones = sum(pows)
+        self._half = half = 1 << width - 1
+        self._tops = ones * half  # every agent's digit set
+        self._dbits = dbits = [w * half for w in pows]
+        self._conf_digits = confd = [sum([dbits[a] for a in g.out_neighbors[x]]) for x in range(n)]
         # Ballot lists per voter in visit order, best bonus first (g
         # ascending, f descending), canonical order among equals: (members,
-        # member bitmask, base, key delta from a state to its child).  A
+        # member digit set, base, key delta from a state to its child).  A
         # ballot's f is its members the voter confirms, its g the others;
-        # its bitmask and delta are the same for every voter casting it.
+        # its digit set and delta are the same for every voter casting it.
         self._visit_order: list[list[tuple[tuple[int, ...], int, int, int]]] = []
-        masks: dict[tuple[int, ...], tuple[int, int]] = {}  # (bitmask, delta) by members
-        for x, conf in enumerate(conf_of):
+        masks: dict[tuple[int, ...], tuple[int, int]] = {}  # (digit set, delta) by members
+        for x, conf in enumerate(confd):
             entries = []
             for members in ballot_members(rule, x, n):
                 known = masks.get(members)
                 if known is None:
-                    known = masks[members] = (
-                        sum([bits_of[a] for a in members]),
-                        istep + sum([pows[a] for a in members]),
-                    )
-                bmask, delta = known
-                f = (bmask & conf).bit_count()
+                    ones_of = sum([pows[a] for a in members])
+                    known = masks[members] = (ones_of * half, istep + ones_of)
+                dmask, delta = known
+                f = (dmask & conf).bit_count()
                 gcnt = len(members) - f
-                entries.append((members, bmask, (n - gcnt) * radix + f, delta))
+                entries.append((members, dmask, (n - gcnt) * radix + f, delta))
             entries.sort(key=itemgetter(2), reverse=True)
             self._visit_order.append(entries)
         self._ballot_cache: dict[tuple[int, int], list] = {}
-        self._confirmed = [[(a, 1 << a) for a in sorted(g.out_neighbors[x])] for x in range(n)]  # (agent, bit)
-        # Agents at level 0 for x: approving a dead one is dominated.
+        # Agents at level 0 for x: approving a dead one is dominated.  A
+        # bitmask for winner sets and a digit set for dead agents.
         self._unconf = [self._all & ~self._conf_mask[x] & ~(1 << x) for x in range(n)]
+        self._unconf_digits = [self._tops - confd[x] - dbits[x] for x in range(n)]
         # at_least[x][k]: agents at level k or more for x.
         self._at_least = [(self._all, c | 1 << x, 1 << x, 0) for x, c in enumerate(self._conf_mask)]
-        # later_conf[i]: agents confirmed by some voter of order[i:].
+        # Per depth i, as packed digits, the votes each agent can still
+        # receive from the voters of order[i:]: from all but itself
+        # (reach[i]), and from those that confirm it (conf_votes[i]), the
+        # only votes that can help elect it.  later_conf[i]: the digit set
+        # of agents confirmed by some voter of order[i:].
+        self._reach = [0] * (n + 1)
+        self._conf_votes = [0] * (n + 1)
         self._later_conf = [0] * (n + 1)
         for i in range(n - 1, -1, -1):
-            self._later_conf[i] = self._later_conf[i + 1] | self._conf_mask[self._order[i]]
-        # Deadness compares (votes, tie-break precedence) packed as
-        # votes * n + (n - 1 - tie-break rank); reach[i][z] adds the votes z
-        # can still receive once i ballots are cast.
+            x = self._order[i]
+            self._reach[i] = self._reach[i + 1] + ones - pows[x]
+            self._conf_votes[i] = self._conf_votes[i + 1] + (confd[x] >> width - 1)
+            self._later_conf[i] = self._later_conf[i + 1] | confd[x]
+        # Deadness and hope compare (votes, tie-break precedence) keys,
+        # votes * n + (n - 1 - tie-break rank).  reaches[K] makes a digit
+        # set of the agents whose key plus k votes reaches key K = S * n + t
+        # when added to a state with k added to each digit (see _reaching).
         tb_rank = [0] * n
         for rank, a in enumerate(g.tiebreak_order):
             tb_rank[a] = rank
-        pos = [0] * n
-        for p, a in enumerate(g.voting_order):
-            pos[a] = p
         self._tb_key = [n - 1 - tb_rank[a] for a in range(n)]
-        self._leader_of = [g.tiebreak_order[n - 1 - t] for t in range(n)]
-        self._reach = [
-            [((n - i) - (1 if pos[z] >= i else 0)) * n for z in range(n)]
-            for i in range(n + 1)
-        ]
-        # cr[i][z]: the votes z can still receive from voters of order[i:]
-        # that confirm it, the only votes that can help elect it.
-        self._cr = [[0] * n]
-        for x in reversed(self._order):
-            conf = self._conf_mask[x]
-            self._cr.append([c + (n if conf & bit else 0) for c, bit in zip(self._cr[-1], self._bits)])
-        self._cr.reverse()
-        # (dead-digit fill, ones of the live digits) by dead mask, as met.
-        self._canon_of = {0: (0, sum(self._pows))}
+        self._leader_of = leader_of = [g.tiebreak_order[n - 1 - t] for t in range(n)]
+        self._ties = ties = [0] * (n + 1)  # ties[t]: the ones of the agents of precedence t or more
+        for t in range(n - 1, -1, -1):
+            ties[t] = ties[t + 1] + pows[leader_of[t]]
+        # Filled as searches meet each key: made up front, the (n + 2) * n
+        # wide ints of n digits each would take O(n**3) bytes.
+        self._reaches: list[int | None] = [None] * ((n + 2) * n)
         self._memo: dict = {}
         self._policy: Policy | None = None
         self.last_stats = SolveStats()
@@ -379,6 +423,7 @@ class Solver:
         self._hits = 0
         self._quiescent = 0
         self._bound_skips = 0
+        self._break_skips = 0
         self._aliases = 0
         self._max_nodes = self.budget.max_nodes
         # Entries of settled (sole-hopeful) states by depth and leader; depth
@@ -401,6 +446,7 @@ class Solver:
             wall_seconds=time.monotonic() - self._t0,
             quiescent=self._quiescent,
             bound_skips=self._bound_skips,
+            break_skips=self._break_skips,
             memo_aliases=self._aliases,
         )
 
@@ -430,19 +476,30 @@ class Solver:
     def _pack(self, state: SubgameState) -> int:
         return state.i * self._istep + sum(s * w for s, w in zip(state.scores, self._pows))
 
-    def _scores(self, p: int):
-        """The score digits of packed state ``p``, agent by agent."""
-        return self._digits.unpack_from(p.to_bytes(self._nbytes, "little"))
-
-    def _leader(self, p: int) -> int:
-        """``winner(scores)``: most votes, ties to the earliest in tie-break order."""
+    def _lead_key(self, p: int) -> int:
+        """The leader's key, ``votes * n + precedence``, the largest, from
+        the score digits of packed state ``p``."""
         n = self.n
-        return self._leader_of[max([s * n + t for s, t in zip(self._scores(p), self._tb_key)]) % n]
+        scores = self._digits.unpack_from(p.to_bytes(self._nbytes, "little"))
+        return max([s * n + t for s, t in zip(scores, self._tb_key)])
 
-    def _known(self, i: int, p: int) -> tuple[int, list[int], int, int]:
-        """What :meth:`_search` is given about state ``p``: the bitmask of
-        agents that can no longer win, every agent's ``votes * n +
-        precedence`` key, the leader's key and the canonical memo key.
+    def _reaching(self, key: int) -> int:
+        """``_reaches[key]``, made the first time it is needed: a 1 in the
+        digit of each agent of precedence ``t = key % n`` or more, plus
+        ``B/2 - 1 - S`` in every digit, ``S = key // n``.  Added to a state
+        with ``k`` added to each digit, its top bits are the agents with
+        ``votes + k + [precedence >= t] > S``, those whose key plus ``k``
+        votes reaches ``key``."""
+        value = self._reaches[key]
+        if value is None:
+            score, t = divmod(key, self.n)
+            value = self._reaches[key] = self._ties[t] + (self._half - 1 - score) * self._ones
+        return value
+
+    def _known(self, i: int, p: int) -> tuple[int, int, int]:
+        """What :meth:`_search` is given about state ``p``: the digit set of
+        agents that can no longer win, the leader's key and the canonical
+        memo key.
 
         The leader is ``winner(scores)``, the agent of the largest key.
         ``z`` is dead when, given every vote it can still receive, it still
@@ -451,35 +508,23 @@ class Solver:
         only on live agents' scores, so this runs only at a call's root; a
         parent derives every other state's from its own.
         """
-        n = self.n
-        vals = [s * n + t for s, t in zip(self._scores(p), self._tb_key)]
-        lead = max(vals)
-        dead = 0
-        for v, reach, bit in zip(vals, self._reach[i], self._bits):
-            if v + reach < lead:
-                dead |= bit
-        fill, live = self._canon(dead)
-        return dead, vals, lead, p + (n - i - lead // n) * live | fill
-
-    def _canon(self, dead: int) -> tuple[int, int]:
-        """The dead-digit fill of dead mask ``dead`` and the ones of its live
-        digits, stored in the solver's table, where :meth:`_search` looks
-        them up.  The canonical key of a state with ``R`` voters to move and
-        leader score ``S`` is ``p + (R - S) * live | fill``."""
-        fill = sum(f for bit, f in zip(self._bits, self._fills) if dead & bit)
-        live = sum(w for bit, w in zip(self._bits, self._pows) if not dead & bit)
-        self._canon_of[dead] = fill, live
-        return fill, live
+        lead = self._lead_key(p)
+        tops = self._tops
+        dead = p + self._reach[i] + self._reaching(lead) & tops ^ tops
+        dead_ones = dead >> self._width - 1
+        offset = self.n - i - lead // self.n
+        return dead, lead, p + offset * (self._ones - dead_ones) | (dead << 1) - dead_ones
 
     def _ballots_at(self, x: int, dead: int) -> list[tuple[tuple[int, ...], int, int, int]]:
-        """Legal ballots for mover ``x`` in visit order, dominated ones pruned.
+        """Legal ballots for mover ``x`` in visit order, dominated ones pruned,
+        given the digit set ``dead`` of dead agents.
 
         A ballot approving a dead agent the mover does not confirm is
         dominated by the same ballot without that agent: the child states are
         winner-bisimilar and the larger ballot pays a strictly worse bonus.
         Filtering the visit-ordered list keeps its order.
         """
-        banned = dead & self._unconf[x]
+        banned = dead & self._unconf_digits[x]
         if not banned:
             return self._visit_order[x]
         cache_key = (x, banned)
@@ -544,43 +589,47 @@ class Solver:
 
         With pruning, a parent settles each child that misses the memo
         itself when the child is terminal or quiescent.  For any other child
-        it derives ``known`` (the child's dead mask, ``votes * n +
-        precedence`` keys, lead key and canonical key), probes the memo
-        with the canonical key and calls this method with ``known`` only on
-        a miss.  :meth:`solve` gives a call's root its ``known``; without
-        pruning it is None and unused.
+        it derives ``known``, the child's dead digit set, lead key and
+        canonical key, probes the memo with the canonical key and calls this
+        method with ``known`` only on a miss.  :meth:`solve` gives a call's
+        root its ``known``; without pruning it is None and unused.
 
-        A child's lead key ``top`` is the parent's, or a member's key after
-        the vote if larger, so ballots approving the same contenders share
-        it.  For each ``top`` met, the node finds once the agents that trail
-        it with every vote still to come in the child, without this
-        ballot's (``d0``) and with it (``d1``).  The child's dead mask is
-        ``d1 | d0 & ~bmask``, exactly what it would find from scratch, and
-        it is quiescent when every agent a later voter confirms is dead.  A
-        terminal child is never probed, and where no later voter confirms
-        anyone every child needs only its leader, not the masks.
+        Each agent set below is a digit set, one or two additions to ``p``
+        (see the module docstring).  A child's lead key ``top`` is the
+        parent's, or a member's key after the vote if larger, so ballots
+        approving the same contenders (agents whose key after a vote passes
+        the lead) share it.  For each ``top`` met, the node finds once the
+        agents that trail it with every vote still to come in the child,
+        without this ballot's (``d0``) and with it (``d1``).  The child's
+        dead digit set is ``d1 | d0 & ~members``, exactly what it would find
+        from scratch, and it is quiescent when every agent a later voter
+        confirms is dead.  A terminal child is never probed, and where no
+        later voter confirms anyone every child needs only its leader, not
+        the dead agents.
 
         A state whose only hopeful agent is its leader (see below) is
         settled from the per-call table before its ballots are listed.
 
         The threat bound is the mover's best level over the state's hopeful
-        agents, those whose key plus ``_cr[i]`` reaches the lead: every
-        outcome of every ballot is one of them or an agent the ballot
-        approves without confirming it, which is level 0 for the mover.
-        Past the raw-key probe, a ballot also has its child's bound, the
-        same level over the agents hopeful at the child's lead key ``top``,
-        and is skipped when that cannot reach ``m1``.  It is worked out with
-        the other facts of each ``top``, and only where it can be below the
-        node's: the node's bound is nonzero and the mover is not hopeful at
-        ``top``.  Then an agent the mover confirms is hopeful in every such
-        child if its key plus ``_cr[i]`` reaches ``top`` with one vote to
-        spare (``floor``), and otherwise, if it reaches ``top`` at all, only
-        in the children of ballots that approve it (``hope_in``).  A skipped
-        child is not a node and counts in ``bound_skips``.
+        agents, those whose key plus the votes of their confirmers still to
+        move reaches the lead: every outcome of every ballot is one of them
+        or an agent the ballot approves without confirming it, which is
+        level 0 for the mover.  Past the raw-key probe, a ballot also has
+        its child's bound, the same level over the agents hopeful at the
+        child's lead key ``top``, and is skipped when that cannot reach
+        ``m1``.  It is worked out with the other facts of each ``top``, and
+        only where it can be below the node's: the node's bound is nonzero
+        and the mover is not hopeful at ``top``.  Then an agent the mover
+        confirms is hopeful in every such child if it reaches ``top`` with
+        one vote to spare (``floor``), and otherwise, if it reaches ``top``
+        at all, only in the children of ballots that approve it
+        (``hope_in``).  A skipped child is not a node and counts in
+        ``bound_skips``; the ballots the node-level break leaves unvisited
+        count there and in ``break_skips`` too.
         """
         n = self.n
         if i == n:
-            return self._quiet[n][self._leader(p)]
+            return self._quiet[n][self._leader_of[self._lead_key(p) % n]]
         self._nodes += 1
         if self._nodes >= self._check_at:
             self._check()
@@ -589,13 +638,17 @@ class Solver:
         key = p
         settle = None  # entries of settled children by leader; None: search every child
         nonterminal = i + 1 < n  # terminal children are never stored, nor settled as nodes
+        unit = self._unit
         if self.use_pruning:
-            dead, vals, lead, key = known
-            bits = self._bits
-            cr = self._cr[i]
-            hopeful = sum([bit for v, c, bit in zip(vals, cr, bits) if v + c >= lead])
+            dead, lead, key = known
+            tops = self._tops
+            dbits = self._dbits
+            reaches = self._reaches
+            ones = self._ones
+            conf_votes = p + self._conf_votes[i]  # add reaches[K]: hopeful at lead key K
+            hopeful = conf_votes + (reaches[lead] or self._reaching(lead)) & tops
             leader = self._leader_of[lead % n]
-            if hopeful == bits[leader]:
+            if hopeful == dbits[leader]:
                 # Only the leader can win: the state is settled from the
                 # per-call table, and stored unless it is node 1, the
                 # call's root, which nothing probes.
@@ -604,25 +657,26 @@ class Solver:
                 return entry if self._nodes == 1 else self._store(key, p, entry)
             ballots = self._ballots_at(x, dead)
             # The mover's best level over hopeful agents: no ballot reaches more.
-            bound = self._unit * (2 if hopeful >> x & 1 else 1 if hopeful & self._conf_mask[x] else 0)
-            # The mover is hopeful in a child of lead key top when this
-            # reaches top: it never approves or confirms itself.
-            mover_reach = vals[x] + cr[x]
-            confirmed = self._confirmed[x]
+            mover = dbits[x]
+            confd = self._conf_digits[x]
+            bound = unit * (2 if hopeful & mover else 1 if hopeful & confd else 0)
             settle = self._quiet[i + 1]
             watch = self._later_conf[i + 1]
-            reach = self._reach[i + 1]
-            canon_of = self._canon_of
+            reach = p + self._reach[i + 1]  # add reaches[K]: alive at lead key K
+            tb_key = self._tb_key
+            width = self._width
+            shift = width - 1
+            digit = (1 << width) - 1
             togo = n - i - 1  # voters to move in a child
             # Agents whose key after a vote passes the lead.
-            contenders = sum([bit for v, bit in zip(vals, bits) if v + n > lead])
-            # (top, d0, d1, settled entry, key offset, hope_in, floor) by the
-            # ballot's contenders; hope_in and floor give the child's bound.
-            tops = {}
+            contenders = p + ones + (reaches[lead + 1] or self._reaching(lead + 1)) & tops
+            # (top, d0, d0 ^ d1, settled entry, key offset, hope_in, floor)
+            # by the ballot's contenders; hope_in and floor give the
+            # child's bound.
+            facts_of = {}
         else:
             ballots = self._visit_order[x]
             bound = self._no_bound
-        unit = self._unit
         low = self._unconf[x]
         conf = self._conf_mask[x]
         search = self._search
@@ -630,15 +684,17 @@ class Solver:
         policy = self._policy
         if policy is not None:
             levels = self._level[x]
-            shift = n if policy.target is None else policy.target  # bmask >> shift & 1: approves it
+            # dmask & target: the ballot approves the policy's target
+            target = 0 if policy.target is None else self._dbits[policy.target]
             best = -1
         acc = pre = 0  # winners of the children so far; of those at m1's base or above
         m1 = m1_base = -1  # the largest worst key so far, and the base of its ballot
-        for k, (members, bmask, base, delta) in enumerate(ballots):
+        for k, (members, dmask, base, delta) in enumerate(ballots):
             if bound + base < m1:
                 # Threat bound: bases only fall from here on, so no outcome
                 # of this or any later ballot can reach m1.
                 self._bound_skips += len(ballots) - k
+                self._break_skips += len(ballots) - k
                 break
             q = p + delta
             child = lookup(q) if nonterminal else None
@@ -650,42 +706,49 @@ class Solver:
             elif settle is None:
                 child = search(i + 1, q)
             else:
-                facts = tops.get(bmask & contenders)
+                ahead = dmask & contenders
+                facts = facts_of.get(ahead)
                 if facts is None:
+                    # The ballot's contenders, highest digit first: the
+                    # child's lead key is the largest of their keys after
+                    # the vote, or the lead.
                     top = lead
-                    for a in members:
-                        if vals[a] + n > top:
-                            top = vals[a] + n
-                    d0 = d1 = 0
+                    rest = ahead
+                    while rest:
+                        end = rest.bit_length()
+                        a = end // width - 1
+                        v = ((p >> end - width & digit) + 1) * n + tb_key[a]
+                        if v > top:
+                            top = v
+                        rest ^= dbits[a]
+                    at_top = reaches[top] or self._reaching(top)
+                    d0 = diff = 0
                     if watch:  # else every child is quiescent or terminal
-                        for v, r, bit in zip(vals, reach, bits):
-                            if v + r < top:
-                                d0 |= bit
-                                if v + r + n < top:
-                                    d1 |= bit
+                        alive = reach + at_top
+                        d0 = alive & tops ^ tops
+                        diff = (alive + ones & tops ^ tops) ^ d0
                     # The mover's best level over the child's hopeful agents
                     # is floor, or unit if the ballot approves one of hope_in.
                     hope_in, floor = 0, bound
-                    if bound and mover_reach < top:
-                        floor = 0
-                        for c, bit in confirmed:
-                            r = vals[c] + cr[c]
-                            if r - n >= top:  # hopeful even without the mover's vote
+                    if bound:
+                        hope = conf_votes + at_top
+                        if not hope & mover:
+                            if hope - ones & confd:  # hopeful even without the mover's vote
                                 floor = unit
-                                break
-                            if r >= top:  # hopeful only with it
-                                hope_in |= bit
-                    facts = (top, d0, d1, settle[self._leader_of[top % n]], togo - top // n, hope_in, floor)
-                    tops[bmask & contenders] = facts
-                top, d0, d1, quiet, offset, hope_in, floor = facts
-                if base < m1 and (unit if bmask & hope_in else floor) + base < m1:
+                            else:
+                                floor = 0
+                                hope_in = hope & confd  # hopeful only with it
+                    facts = (top, d0, diff, settle[self._leader_of[top % n]], togo - top // n, hope_in, floor)
+                    facts_of[ahead] = facts
+                top, d0, diff, quiet, offset, hope_in, floor = facts
+                if base + floor < m1 and (base + unit < m1 or not dmask & hope_in):
                     # The child's threat bound: no outcome of this ballot
                     # reaches m1.  A later ballot's child may have a larger
                     # bound, so the loop goes on.
                     self._bound_skips += 1
                     continue
-                child_dead = d1 | d0 & ~bmask
-                if not watch & ~child_dead:
+                child_dead = d0 ^ dmask & diff
+                if watch & child_dead == watch:
                     child = quiet
                     if nonterminal:
                         self._nodes += 1
@@ -693,8 +756,8 @@ class Solver:
                             self._check()
                         self._quiescent += 1
                 else:
-                    fill, ones = canon_of.get(child_dead) or self._canon(child_dead)
-                    canon = q + offset * ones | fill
+                    dead_ones = child_dead >> shift
+                    canon = q + offset * (ones - dead_ones) | (child_dead << 1) - dead_ones
                     if canon != q:
                         child = lookup(canon)
                     if child is not None:  # a canonical hit: a node, a hit and an alias
@@ -706,10 +769,7 @@ class Solver:
                             self._aliases += 1
                             memo[q] = child
                     else:
-                        child_vals = vals.copy()
-                        for a in members:
-                            child_vals[a] += n
-                        child = search(i + 1, q, (child_dead, child_vals, top, canon))
+                        child = search(i + 1, q, (child_dead, top, canon))
             # The mover's worst key over the child's winners.
             mask = child[0]
             worst = base + (0 if mask & low else unit if mask & conf else 2 * unit)
@@ -721,7 +781,7 @@ class Solver:
             if policy is not None:
                 # The first of the best: tied ballots share a base, and the
                 # visit order keeps canonical order within a base.
-                rank = (levels[child[1]] + base) * 2 + (bmask >> shift & 1)
+                rank = (levels[child[1]] + base) * 2 + (dmask & target > 0)
                 if rank > best:
                     best, pick, picked = rank, members, child
         # m1 serves as every ballot's threshold, its own worst key included,
@@ -769,7 +829,7 @@ class Solver:
             for e in ballots:
                 if e[2] != pick[2]:
                     break
-                if e[1] >> target & 1:
+                if e[1] & self._dbits[target]:
                     pick = e
                     break
         return [(1 << w, w, pick[0], after[w]) for w in range(self.n)]

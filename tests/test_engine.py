@@ -144,6 +144,45 @@ def test_searched_tree_is_pinned(name, k, rule, policy, pruning, expected):
     assert counters_of(solver.last_stats) == expected
 
 
+# break_skips of the PINNED searches, row for row: the part of bound_skips
+# that the node-level break leaves unvisited.
+PINNED_BREAK_SKIPS = [1533, 3468, 13866, 1666, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "name,k,rule,policy,pruning,expected,breaks",
+    [(*row, breaks) for row, breaks in zip(PINNED, PINNED_BREAK_SKIPS)],
+    ids=PINNED_IDS,
+)
+def test_break_skips_are_pinned(name, k, rule, policy, pruning, expected, breaks):
+    """The node-level break's share of bound_skips; the rest are ballots the
+    per-ballot bound skipped one at a time.  Both are 0 with pruning off."""
+    solver = Solver(gen_paper_instance(InstanceSpec(name, k)), rule, use_pruning=pruning)
+    solver.solve(policy=policy)
+    stats = solver.last_stats
+    assert (stats.bound_skips, stats.break_skips) == (expected[COUNTERS.index("bound_skips")], breaks)
+
+
+@pytest.mark.parametrize(
+    "n,expected",
+    [
+        (62, (20001, 8973, 10494, 2261, 430118, 19281)),
+        (63, (20001, 12750, 6208, 983, 210093, 18913)),
+    ],
+    ids=["n62-8-bit-digits", "n63-16-bit-digits"],
+)
+def test_budget_stop_on_62_and_63_agents(n, expected):
+    """The counters of a node-budget stop on seeded 62- and 63-agent
+    plurality games, on either side of the switch from 8- to 16-bit digits.
+    They were taken from the engine before digit sets, which packed both
+    games in bytes."""
+    g = gen_random(RandomSpec(n=n, p=0.05, max_out=None, seed=6200 + n))
+    solver = Solver(g, PLURALITY, budget=Budget(max_nodes=20_000))
+    with pytest.raises(BudgetExceededError, match="node budget of 20000 exceeded") as exc_info:
+        solver.achievable_winners()
+    assert counters_of(exc_info.value.stats) == expected
+
+
 @pytest.mark.parametrize("name,k,rule,policy,pruning,expected", PINNED, ids=PINNED_IDS)
 def test_node_budget_and_clock_on_the_pinned_games(
     monkeypatch, name, k, rule, policy, pruning, expected
@@ -171,15 +210,106 @@ def test_node_budget_and_clock_on_the_pinned_games(
     assert reads == [0, *range(1, nodes + 1, 1024), nodes]
 
 
+def digit_width(n):
+    """The packed state's digit width: two bits to spare over n + 1."""
+    return 8 if n <= 62 else 16
+
+
+def digit_set(agents, n):
+    """The agents as a digit set: the top bit of each one's digit."""
+    w = digit_width(n)
+    return sum(1 << w * a + w - 1 for a in set(agents))
+
+
+def precedences(g):
+    """Each agent's tie-break precedence, n - 1 for the first in order."""
+    return [g.n - 1 - g.tiebreak_order.index(a) for a in range(g.n)]
+
+
+def votes_to_come(g, j, z, confirmers_only):
+    """The votes z can still receive from the voters of voting_order[j:]:
+    from every one but itself, or only from those that confirm it."""
+    later = g.voting_order[j:]
+    if confirmers_only:
+        return sum(z in g.out_neighbors[y] for y in later)
+    return len(later) - (z in later)
+
+
+def reference_known(solver, i, p):
+    """Solver._known(i, p) from a loop over the agents: the digit set of
+    the agents that trail the lead key with every vote still to come, the
+    lead key (votes * n + precedence) and the canonical memo key."""
+    g, n = solver.g, solver.n
+    w = digit_width(n)
+    prec = precedences(g)
+    keys = [(p >> w * a & (1 << w) - 1) * n + prec[a] for a in range(n)]
+    lead = max(keys)
+    dead = [z for z in range(n) if keys[z] + votes_to_come(g, i, z, False) * n < lead]
+    fill = sum((1 << w) - 1 << w * a for a in dead)
+    live = sum(1 << w * a for a in range(n) if a not in dead)
+    return digit_set(dead, n), lead, p + (n - i - lead // n) * live | fill
+
+
+@pytest.mark.parametrize("n", [*range(1, 9), 12, 62, 63])
+def test_digit_sets_match_a_loop_over_the_agents(n):
+    """Seeded random states: each packed table plus the bias of a key K,
+    added to the packed state, sets the top bits of the agents a loop over
+    the agents finds with keys v = votes * n + precedence: alive (not v +
+    reach < K), alive with one more vote (not v + reach + n < K), hopeful
+    (v + cr >= K), hopeful with a vote to spare (v + cr - n >= K) and
+    contender (v + n > lead), with reach and cr the votes still to come
+    from every voter and from confirmers, at this depth and the next.  K
+    runs over every lead key a child can have.  _known agrees with the same
+    loop.  Digits switch from 8 to 16 bits between n = 62 and 63."""
+    rng = random.Random(9400 + n)
+    w = digit_width(n)
+    tops = digit_set(range(n), n)
+    ones = sum(1 << w * a for a in range(n))
+    for trial in range(12):
+        spec = RandomSpec(n=n, p=rng.choice((0.1, 0.3, 0.6)), max_out=None, seed=rng.randrange(10**6))
+        g = gen_random(spec)
+        solver = Solver(g, PLURALITY)
+        i = rng.randint(0, n)
+        # the first two states have every score at i and at 0
+        scores = tuple(i if trial == 0 else 0 if trial == 1 else rng.randint(0, i) for _ in range(n))
+        p = solver._pack(SubgameState(i, scores))
+        assert p == sum(s << w * a for a, s in enumerate(scores)) + (i << w * n)
+        prec = precedences(g)
+        v = [scores[z] * n + prec[z] for z in range(n)]
+        lead = max(v)
+
+        def found(table, key, extra=0):
+            return p + table + solver._reaching(key) + extra & tops
+
+        for j in sorted({i, min(i + 1, n)}):
+            reach = [votes_to_come(g, j, z, False) * n for z in range(n)]
+            cr = [votes_to_come(g, j, z, True) * n for z in range(n)]
+            for key in range(lead, lead + n + 1):
+                alive = found(solver._reach[j], key)
+                assert alive == tops ^ digit_set((z for z in range(n) if v[z] + reach[z] < key), n)
+                assert found(solver._reach[j], key, ones) == tops ^ digit_set(
+                    (z for z in range(n) if v[z] + reach[z] + n < key), n
+                )
+                assert found(solver._conf_votes[j], key) == digit_set(
+                    (z for z in range(n) if v[z] + cr[z] >= key), n
+                )
+                assert found(solver._conf_votes[j], key, -ones) == digit_set(
+                    (z for z in range(n) if v[z] + cr[z] - n >= key), n
+                )
+        assert found(0, lead + 1, ones) == digit_set((z for z in range(n) if v[z] + n > lead), n)
+        assert solver._known(i, p) == reference_known(solver, i, p), (n, i, scores)
+
+
 class KnownCheckingSolver(Solver):
-    """Checks that what a parent derives for a child, its dead mask, keys,
-    lead key and canonical memo key, is what the child finds from scratch."""
+    """Checks that what a parent derives for a child, its dead digit set,
+    lead key and canonical memo key, is what the child finds from scratch,
+    and what a loop over the agents finds."""
 
     checked = 0
 
     def _search(self, i, p, known=None):
         if known is not None:
-            assert known == self._known(i, p), (i, p)
+            assert known == self._known(i, p) == reference_known(self, i, p), (i, p)
             self.checked += 1
         return super()._search(i, p, known)
 
@@ -283,7 +413,7 @@ def test_translated_live_scores_give_the_same_equilibria():
                 continue
             twins += 1
             solver = Solver(g, rule)
-            keys = {solver._known(i, solver._pack(SubgameState(i, s)))[3] for s in (scores, twin)}
+            keys = {solver._known(i, solver._pack(SubgameState(i, s)))[2] for s in (scores, twin)}
             assert len(keys) == 1, (g.n, rule.label(), i, scores, twin)
             for policy in (None, Policy.canonical(), Policy.bias_toward(g.n - 1)):
                 answers = set()
@@ -341,8 +471,9 @@ def test_solver_tables_follow_the_preference_definitions(rule):
     """The solver builds its ballot and level tables from bitmasks.  Each
     voter's visit order is legal_ballots stably sorted by the base that
     assess gives, (n - g) * (n + 1) + f, best first, with each ballot's
-    member bitmask and the key delta _pack gives a first vote; its levels
-    are outcome_level times the key unit."""
+    member digit set (the top bit of each member's 8-bit digit) and the key
+    delta _pack gives a first vote; its levels are outcome_level times the
+    key unit."""
     for n in range(1, 7):
         for j, p in enumerate((0.0, 0.3, 0.6, 1.0)):
             g = gen_random(RandomSpec(n=n, p=p, max_out=None, seed=9100 + 10 * n + j))
@@ -355,10 +486,10 @@ def test_solver_tables_follow_the_preference_definitions(rule):
                     return (n - gcnt) * (n + 1) + f
 
                 expected = [
-                    (b, sum(1 << a for a in b), base(b), solver._pack(SubgameState(1, apply_ballot(empty, b))))
+                    (b, sum(1 << 8 * a + 7 for a in b), base(b), solver._pack(SubgameState(1, apply_ballot(empty, b))))
                     for b in sorted(legal_ballots(rule, x, n), key=base, reverse=True)
-                ]  # (ballot, bitmask, base, key delta of a first vote)
-                got = [(frozenset(m), bmask, b, delta) for m, bmask, b, delta in solver._visit_order[x]]
+                ]  # (ballot, digit set, base, key delta of a first vote)
+                got = [(frozenset(m), dmask, b, delta) for m, dmask, b, delta in solver._visit_order[x]]
                 assert got == expected, (n, p, x)
                 assert all(list(m) == sorted(m) for m, *_ in solver._visit_order[x])
                 assert solver._level[x] == [outcome_level(g, x, w) * solver._unit for w in range(n)]
@@ -581,6 +712,55 @@ def test_low_outdegree_rejects_branchy_graphs():
     g = example1()  # agent "2" confirms two agents
     with pytest.raises(ValueError):
         low_outdegree_verdict(g, winners_of(g, PLURALITY))
+
+
+# -- relabeling and rule aliases ---------------------------------------------------
+
+
+RELABEL_CATALOG = [
+    ("example1", None, APPROVAL),
+    ("example2", None, PLURALITY),
+    ("plurality_chain_fig5", None, PLURALITY),
+    ("g_k", 2, PLURALITY),
+    ("plurality_chain", 3, PLURALITY),
+    ("kapproval_chain", 1, k_approval(2)),
+]
+
+
+def relabeled(g, perm):
+    """The game with agent a renamed perm[a]: edges and both orders."""
+    return ConfirmationNetwork.build(
+        g.n,
+        [(perm[a], perm[b]) for a, b in g.edges],
+        [perm[a] for a in g.voting_order],
+        [perm[a] for a in g.tiebreak_order],
+    )
+
+
+def test_relabeled_games_and_rule_aliases_have_the_same_winners():
+    """Renaming the agents renames the winners, W' = perm(W), and plurality
+    is 1-approval and approval is (n - 1)-approval.  On 24 seeded random
+    n = 6-7 games under the three rules and six catalog games, each with
+    seeded random voting and tie-break orders.  The packed state's digits
+    follow agent ids, so renaming moves every agent to another digit, on
+    games larger than the oracle solves."""
+    rng = random.Random(9500)
+    rules = (PLURALITY, APPROVAL, k_approval(2))
+    specs = [
+        RandomSpec(n=6 + j % 2, p=(0.2, 0.35, 0.5)[j // 3 % 3], max_out=None, seed=9300 + j)
+        for j in range(24)
+    ]
+    games = [(gen_random(spec), rules[j % 3]) for j, spec in enumerate(specs)]
+    games += [(gen_paper_instance(InstanceSpec(name, k)), rule) for name, k, rule in RELABEL_CATALOG]
+    for g, rule in games:
+        n = g.n
+        g = ConfirmationNetwork.build(n, g.edges, rng.sample(range(n), n), rng.sample(range(n), n))
+        perm = rng.sample(range(n), n)
+        winners = winners_of(g, rule)
+        assert winners_of(relabeled(g, perm), rule) == {perm[w] for w in winners}, (g, perm)
+        alias = {"plurality": k_approval(1), "approval": k_approval(n - 1)}.get(rule.kind)
+        if alias is not None:
+            assert winners_of(g, alias) == winners, (g, rule.label())
 
 
 # -- SPE existence, property-based ----------------------------------------------
