@@ -40,12 +40,16 @@ those do not hide a moved result:
 - ``grown``: completed searches (of any configuration, matched or not)
   whose ``nodes`` or ``cache_size`` is larger in ``NEW_TREE``.
 
+It also prints each tree's ``nodes`` and ``cache_size`` summed over the
+searches that completed in both, so that a change to what the memo stores
+shows its size.
+
 It exits 1 if there is any ``results`` or ``fingerprints`` mismatch or any
 ``grown`` search, and 0 otherwise: an exact cut that shrinks the tree makes
 counter-only and budget-stop mismatches, which it prints but does not fail
 on.
 
-It takes a few minutes on one core; it is a tool for checking a change to
+It takes about a minute on one core; it is a tool for checking a change to
 the search core, not part of the test suite.
 """
 
@@ -206,6 +210,7 @@ def main(argv: list[str]) -> int:
     new_tree = Path(argv[2]).resolve() if len(argv) == 3 else Path(__file__).resolve().parents[1]
     old, new = load(old_tree, "seqvote_old"), load(new_tree, "seqvote_new")
     comparisons = completed = grown = 0
+    size = {"old": [0, 0], "new": [0, 0]}  # summed nodes and cache_size of completed searches
     mismatches = []
     for (label, g_old, rule_old, state_old), (_, g_new, rule_new, state_new) in zip(
         games(old), games(new)
@@ -217,6 +222,8 @@ def main(argv: list[str]) -> int:
             if a[0] == b[0] == "ok":
                 completed += 1
                 grown += any(b[2][j] > a[2][j] for j in GROWTH)
+                for tree, result in (("old", a), ("new", b)):
+                    size[tree] = [total + result[2][j] for total, j in zip(size[tree], GROWTH)]
             if a != b:
                 mismatches.append((f"{label}/{config}", config, a, b))
     for (label, a), (_, b) in zip(fingerprints(old), fingerprints(new)):
@@ -233,6 +240,8 @@ def main(argv: list[str]) -> int:
     kinds = Counter(kind(config, a, b) for _label, config, a, b in mismatches)
     print(", ".join(f"{k} {kinds[k]}" for k in KINDS))
     print(f"completed searches {completed}, grown {grown}")
+    for tree in size:
+        print(f"{tree} tree: nodes {size[tree][0]}, cache_size {size[tree][1]}")
     return 1 if grown or any(kinds[k] for k in FATAL) else 0
 
 

@@ -158,7 +158,7 @@ def metrics(in_path, rule_name, k, max_nodes, max_seconds, out):
                 continue
             try:
                 sources.append(source_from_descriptor(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, RecordError) as exc:
+            except (json.JSONDecodeError, RecordError) as exc:
                 raise click.UsageError(f"{in_path}:{line_no}: {exc}")
     else:
         raise click.UsageError(f"--in path {in_path} does not exist")

@@ -61,11 +61,16 @@ Exact cuts (``use_pruning``), none of which changes a result:
   policy's choice either.  ``b`` is skipped, but a later ballot's child can
   have a larger bound, so the pass goes on.
 - Sole-hopeful states.  The leader is always hopeful; where it is the only
-  hopeful agent, the lemma alone fixes the outcome, and the state is
-  settled before its ballots are listed: the leader wins every SPE, and the
-  entry depends only on the mover and the leader.  It comes from a per-call
-  table and is stored in the memo like a searched entry, except at a
-  call's root, which no probe looks for.  It is exact under a policy too.
+  hopeful agent, the lemma alone fixes the outcome: the leader wins every
+  SPE, and the entry depends only on the mover and the leader.  One rule
+  settles every such state from a per-call table, with no search and
+  nothing stored: a parent tests each child past the per-ballot bound with
+  the child's own hopeful agents, and a call's root, which has no parent,
+  is tested before its ballots are listed.  A quiescent state, where no
+  voter still to move confirms a live agent, needs no rule of its own: a
+  live agent other than the leader has no confirmers' votes to come and
+  trails the lead, and a dead agent trails it with every vote, so
+  quiescent implies sole-hopeful.  The entry is exact under a policy too.
   Every ballot of the best bonus has ``g = 0``: it approves only agents the
   mover confirms, whose votes plus their confirmers' votes do not change,
   so the child's only hopeful agent is still the leader, and its outcome is
@@ -73,11 +78,7 @@ Exact cuts (``use_pruning``), none of which changes a result:
   or at level 0 for the mover, never above the leader's level.  So the
   policy's pick is the first ballot of the best bonus, or under
   ``bias_toward(t)`` the first of those approving ``t``, and its child's
-  entry is the table's for the same leader one depth on.  A quiescent
-  state, where no voter still to move confirms a live agent, is the special
-  case where no live agent but the leader is hopeful; a quiescent child is
-  settled at its parent, from the parent's own scores, with no call of its
-  own, and is not stored.
+  entry is the table's for the same leader one depth on.
 
 A node is one pass over its ballots, which also tracks the policy's pick.
 Keys pack as ``level * unit + base`` with ``base < unit``, so ballot ``b``'s
@@ -91,7 +92,7 @@ The inner loop works on ints.  A state is one int, ``i * B**n +
 sum(scores[a] * B**a)`` with digit base ``B = 2**width``, and a ballot adds
 a fixed delta to it (an incremental key, after Zobrist 1970).  A parent
 probes the memo for each child with this raw key; on a miss, and when the
-child is not quiescent, with the child's canonical key, and the raw key is
+child is not settled, with the child's canonical key, and the raw key is
 stored as an alias of the canonical entry while the aliases number fewer
 than four per entry (``_ALIAS_CAP``).  The canonical key sets all bits of
 each dead agent's digit, a value no score reaches, and gives live agent
@@ -129,13 +130,14 @@ digit set by a shift each.
 Winner sets, and every mask read where a child is found by its raw key,
 stay bitmasks of ``n`` bits: small ints, which Python caches for ``n <=
 8``, on the path most ballots take.  A ballot carries its member digit set,
-for its contenders, its child's dead agents and the dead-agent ban.  The
-parent derives the child's dead agents and canonical key from its own: a
-child's dead digit set depends only on its lead key and the ballot's
-members, through two digit sets the parent finds once per lead key it
-meets, and that lead key is read from the digits of the ballot's
-contenders.  Only a call's root and a terminal state decode all the
-scores.  Winner sets become frozensets only when a call returns.
+for its contenders and the dead-agent ban.  A parent reads a child's lead
+key from the digits of the ballot's contenders, and a child's dead agents
+come from its own key by ``_known``'s formula: once per lead key it meets,
+the parent adds to its state that key's ``reaches`` and the votes still to
+come in the child, and each ballot adds its delta.  The child's hopeful
+agents come the same way, from its confirmers' votes.  Only a call's root
+and a terminal state decode all the scores.  Winner sets become frozensets
+only when a call returns.
 
 Under a policy an entry is ``(winners, policy winner, policy ballot, child
 entry)``, linking to the entry of the child its ballot leads to, and a
@@ -204,7 +206,7 @@ class SolveStats:
     cache_hits: int = 0
     cache_size: int = 0
     wall_seconds: float = 0.0
-    quiescent: int = 0  # states settled as sole-hopeful (quiescent ones included)
+    quiescent: int = 0  # states settled as sole-hopeful
     bound_skips: int = 0  # ballots the threat bound skipped
     break_skips: int = 0  # of those, ballots never visited: the node-level break
     memo_aliases: int = 0  # raw state keys stored next to canonical entries
@@ -290,10 +292,10 @@ class Solver:
     few additions with the solver's packed tables (see the module
     docstring).
 
-    A settled state is a node and counts in ``quiescent``: a sole-hopeful
-    state is settled by :meth:`_search` once its hopeful agents are known,
-    a call's root included, and a quiescent child at its parent.  A
-    terminal state is not a node.
+    A settled state is a node, counts in ``quiescent`` and is never
+    stored: a parent settles each sole-hopeful child it meets past the
+    per-ballot bound, and :meth:`_search` only a call's root.  A terminal
+    state is not a node.
 
     The memo also keeps raw state keys as aliases of canonical entries, up
     to ``_ALIAS_CAP`` per canonical entry.  A hit on an alias is a memo hit
@@ -384,16 +386,13 @@ class Solver:
         # Per depth i, as packed digits, the votes each agent can still
         # receive from the voters of order[i:]: from all but itself
         # (reach[i]), and from those that confirm it (conf_votes[i]), the
-        # only votes that can help elect it.  later_conf[i]: the digit set
-        # of agents confirmed by some voter of order[i:].
+        # only votes that can help elect it.
         self._reach = [0] * (n + 1)
         self._conf_votes = [0] * (n + 1)
-        self._later_conf = [0] * (n + 1)
         for i in range(n - 1, -1, -1):
             x = self._order[i]
             self._reach[i] = self._reach[i + 1] + ones - pows[x]
             self._conf_votes[i] = self._conf_votes[i + 1] + (confd[x] >> width - 1)
-            self._later_conf[i] = self._later_conf[i + 1] | confd[x]
         # Deadness and hope compare (votes, tie-break precedence) keys,
         # votes * n + (n - 1 - tie-break rank).  reaches[K] makes a digit
         # set of the agents whose key plus k votes reaches key K = S * n + t
@@ -504,9 +503,9 @@ class Solver:
         The leader is ``winner(scores)``, the agent of the largest key.
         ``z`` is dead when, given every vote it can still receive, it still
         trails the leader: fewer votes, or as many and later in the
-        tie-breaking order.  Deadness is monotone along play and depends
-        only on live agents' scores, so this runs only at a call's root; a
-        parent derives every other state's from its own.
+        tie-breaking order.  This runs only at a call's root; a parent finds
+        every other state's dead agents by the same formula, at the child's
+        lead key with the ballot's delta added.
         """
         lead = self._lead_key(p)
         tops = self._tops
@@ -587,28 +586,30 @@ class Solver:
         over the ballots, in visit order, finds every child entry, the
         winners and the policy's pick.
 
-        With pruning, a parent settles each child that misses the memo
-        itself when the child is terminal or quiescent.  For any other child
-        it derives ``known``, the child's dead digit set, lead key and
-        canonical key, probes the memo with the canonical key and calls this
-        method with ``known`` only on a miss.  :meth:`solve` gives a call's
-        root its ``known``; without pruning it is None and unused.
+        With pruning, a parent settles each child that misses the raw-key
+        probe and passes the per-ballot bound when the child's only hopeful
+        agent is its leader, as it always is in a terminal child.  For any
+        other child it derives ``known``, the child's dead digit set, lead
+        key and canonical key, probes the memo with the canonical key and
+        calls this method with ``known`` only on a miss.  :meth:`solve`
+        gives a call's root its ``known``; without pruning it is None and
+        unused.
 
         Each agent set below is a digit set, one or two additions to ``p``
         (see the module docstring).  A child's lead key ``top`` is the
         parent's, or a member's key after the vote if larger, so ballots
         approving the same contenders (agents whose key after a vote passes
-        the lead) share it.  For each ``top`` met, the node finds once the
-        agents that trail it with every vote still to come in the child,
-        without this ballot's (``d0``) and with it (``d1``).  The child's
-        dead digit set is ``d1 | d0 & ~members``, exactly what it would find
-        from scratch, and it is quiescent when every agent a later voter
-        confirms is dead.  A terminal child is never probed, and where no
-        later voter confirms anyone every child needs only its leader, not
-        the dead agents.
+        the lead) share it.  For each ``top`` met, the node adds once to
+        ``p`` the child's votes still to come, from its confirmers
+        (``hope``) and from every voter (``alive``), each with
+        ``reaches[top]``.  A ballot's delta added to ``hope`` gives the
+        child's hopeful agents, and added to ``alive`` its live agents:
+        its dead agents come from its own key by :meth:`_known`'s formula.
+        A terminal child is never probed.
 
-        A state whose only hopeful agent is its leader (see below) is
-        settled from the per-call table before its ballots are listed.
+        A call's root whose only hopeful agent is its leader is settled from
+        the per-call table before its ballots are listed; a parent settles
+        every other such state.
 
         The threat bound is the mover's best level over the state's hopeful
         agents, those whose key plus the votes of their confirmers still to
@@ -645,34 +646,34 @@ class Solver:
             dbits = self._dbits
             reaches = self._reaches
             ones = self._ones
-            conf_votes = p + self._conf_votes[i]  # add reaches[K]: hopeful at lead key K
-            hopeful = conf_votes + (reaches[lead] or self._reaching(lead)) & tops
+            hopeful = p + self._conf_votes[i] + (reaches[lead] or self._reaching(lead)) & tops
             leader = self._leader_of[lead % n]
             if hopeful == dbits[leader]:
-                # Only the leader can win: the state is settled from the
-                # per-call table, and stored unless it is node 1, the
-                # call's root, which nothing probes.
+                # Only the leader can win.  A parent settles every such
+                # child, so this is a call's root: its entry is the
+                # per-call table's, and nothing probes for it.
                 self._quiescent += 1
-                entry = self._quiet[i][leader]
-                return entry if self._nodes == 1 else self._store(key, p, entry)
+                return self._quiet[i][leader]
             ballots = self._ballots_at(x, dead)
             # The mover's best level over hopeful agents: no ballot reaches more.
             mover = dbits[x]
             confd = self._conf_digits[x]
             bound = unit * (2 if hopeful & mover else 1 if hopeful & confd else 0)
             settle = self._quiet[i + 1]
-            watch = self._later_conf[i + 1]
-            reach = p + self._reach[i + 1]  # add reaches[K]: alive at lead key K
             tb_key = self._tb_key
             width = self._width
             shift = width - 1
             digit = (1 << width) - 1
-            togo = n - i - 1  # voters to move in a child
+            confd_ones = confd >> shift
+            # Added to reaches[K] and a ballot's delta: the agents hopeful,
+            # and those alive, in its child of lead key K.
+            hope_at = p + self._conf_votes[i + 1]
+            alive_at = p + self._reach[i + 1]
             # Agents whose key after a vote passes the lead.
             contenders = p + ones + (reaches[lead + 1] or self._reaching(lead + 1)) & tops
-            # (top, d0, d0 ^ d1, settled entry, key offset, hope_in, floor)
-            # by the ballot's contenders; hope_in and floor give the
-            # child's bound.
+            # (top, hope, alive, leader's digit, settled entry, key offset,
+            # hope_in, floor) by the ballot's contenders; hope_in and floor
+            # give the child's bound.
             facts_of = {}
         else:
             ballots = self._visit_order[x]
@@ -722,33 +723,30 @@ class Solver:
                             top = v
                         rest ^= dbits[a]
                     at_top = reaches[top] or self._reaching(top)
-                    d0 = diff = 0
-                    if watch:  # else every child is quiescent or terminal
-                        alive = reach + at_top
-                        d0 = alive & tops ^ tops
-                        diff = (alive + ones & tops ^ tops) ^ d0
+                    hope, alive = hope_at + at_top, alive_at + at_top
                     # The mover's best level over the child's hopeful agents
                     # is floor, or unit if the ballot approves one of hope_in.
                     hope_in, floor = 0, bound
-                    if bound:
-                        hope = conf_votes + at_top
-                        if not hope & mover:
-                            if hope - ones & confd:  # hopeful even without the mover's vote
-                                floor = unit
-                            else:
-                                floor = 0
-                                hope_in = hope & confd  # hopeful only with it
-                    facts = (top, d0, diff, settle[self._leader_of[top % n]], togo - top // n, hope_in, floor)
+                    if bound and not hope & mover:
+                        if hope & confd:  # hopeful even without the mover's vote
+                            floor = unit
+                        else:
+                            floor = 0
+                            hope_in = hope + confd_ones & confd  # hopeful only with it
+                    w = self._leader_of[top % n]  # the child's leader
+                    offset = n - i - 1 - top // n  # voters to move in it, less its lead
+                    facts = (top, hope, alive, dbits[w], settle[w], offset, hope_in, floor)
                     facts_of[ahead] = facts
-                top, d0, diff, quiet, offset, hope_in, floor = facts
+                top, hope, alive, sole, quiet, offset, hope_in, floor = facts
                 if base + floor < m1 and (base + unit < m1 or not dmask & hope_in):
                     # The child's threat bound: no outcome of this ballot
                     # reaches m1.  A later ballot's child may have a larger
                     # bound, so the loop goes on.
                     self._bound_skips += 1
                     continue
-                child_dead = d0 ^ dmask & diff
-                if watch & child_dead == watch:
+                if hope + delta & tops == sole:
+                    # The child's only hopeful agent is its leader, always so
+                    # for a terminal child: it is settled, and not stored.
                     child = quiet
                     if nonterminal:
                         self._nodes += 1
@@ -756,6 +754,7 @@ class Solver:
                             self._check()
                         self._quiescent += 1
                 else:
+                    child_dead = alive + delta & tops ^ tops
                     dead_ones = child_dead >> shift
                     canon = q + offset * (ones - dead_ones) | (child_dead << 1) - dead_ones
                     if canon != q:
@@ -792,14 +791,7 @@ class Solver:
         level = m1 // unit
         winners = pre & at_least[level] | acc & at_least[level + 1]
         entry = (winners,) if policy is None else (winners, picked[1], pick, picked)
-        return self._store(key, p, entry)
-
-    def _store(self, key: int, p: int, entry: tuple) -> tuple:
-        """Memoize ``entry`` of state ``p`` under its memo key ``key``, and
-        ``p`` as an alias of it while the aliases number fewer than
-        ``_ALIAS_CAP`` per canonical entry."""
-        if self.use_memo:
-            memo = self._memo
+        if self.use_memo:  # stored under its memo key, and p as an alias while the cap allows
             memo[key] = entry
             if key != p and self._aliases < _ALIAS_CAP * (len(memo) - self._aliases):
                 self._aliases += 1

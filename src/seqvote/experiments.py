@@ -169,12 +169,15 @@ def source_from_descriptor(desc: dict):
     if not isinstance(desc, dict):
         raise RecordError(f"instance spec must be a JSON object, got {desc!r:.80}")
     kind = desc.get("kind")
-    if kind == "catalog":
-        return InstanceSpec(desc["name"], desc.get("k"))
-    if kind == "random":
-        return RandomSpec(
-            n=desc["n"], p=desc["p"], max_out=desc.get("max_out"), seed=desc["seed"]
-        )
+    try:
+        if kind == "catalog":
+            return InstanceSpec(desc["name"], desc.get("k"))
+        if kind == "random":
+            return RandomSpec(
+                n=desc["n"], p=desc["p"], max_out=desc.get("max_out"), seed=desc["seed"]
+            )
+    except KeyError as exc:
+        raise RecordError(f"instance spec is missing field {exc}") from exc
     raise RecordError(f"cannot regenerate instance of kind {kind!r}")
 
 

@@ -221,6 +221,7 @@ def test_metrics_bad_spec_line_exits_1(tmp_path):
     "command,edit,field",
     [
         ("metrics", lambda doc: [1, 2], None),
+        ("metrics", lambda doc: {"kind": "random", "n": 4, "p": 0.5}, "missing field 'seed'"),
         ("report", lambda doc: {**doc, "rule": {"kind": "k_approval", "cap": "x"}}, None),
         ("report", lambda doc: {**doc, "stats": [1]}, "'stats'"),
         ("report", lambda doc: {**doc, "verdicts": []}, "'verdicts'"),
@@ -239,6 +240,7 @@ def test_metrics_bad_spec_line_exits_1(tmp_path):
     ],
     ids=[
         "spec-not-an-object",
+        "spec-missing-seed",
         "rule-cap-not-an-int",
         "stats-not-an-object",
         "verdicts-not-an-object",
