@@ -47,16 +47,12 @@ Exact cuts (``use_pruning``), none of which changes a result:
   are hopeful.  Hopeful agents are live, so the bound is never looser than
   one over live agents.
 
-  The lemma holds at each ballot's child too, so ballot ``b`` also has a
-  bound of its own: the mover's best level over the agents hopeful in its
-  child, found from the child's lead key.  The mover's key and its
-  confirmers' votes are the same there, since no voter approves or
-  confirms itself; an agent ``c`` it confirms has, in the child, its votes
-  plus its confirmers' votes unchanged if ``b`` approves ``c`` and one vote
-  fewer if not.  When this bound plus ``b``'s base is below ``m1``, no
-  outcome of ``b`` has a key at or above ``m1``: none is sustained, ``b``'s
-  worst key is below ``m1`` and so leaves it unchanged, and ``b``'s winners
-  pass neither the ``L`` nor the ``L + 1`` test below.  The ballot that set
+  Ballot ``b`` also has a bound of its own: by the lemma at the child,
+  every outcome of ``b`` is hopeful in ``b``'s child.  When no agent
+  hopeful there is at ``b``'s threshold level (below), no outcome of ``b``
+  has a key at or above ``m1``: none is sustained, ``b``'s worst key is
+  below ``m1`` and so leaves it unchanged, and ``b``'s winners pass
+  neither the ``L`` nor the ``L + 1`` test below.  The ballot that set
   ``m1`` has a policy outcome of at least ``m1``, so ``b`` is not the
   policy's choice either.  ``b`` is skipped, but a later ballot's child can
   have a larger bound, so the pass goes on.
@@ -120,12 +116,10 @@ digit is at most ``n + 1``, and the bias lies in ``[0, B/2)`` for every
 8, 16 and 32 bits with ``n + 1 < B/4``, so that score plus table digit,
 at most ``2n + 1``, stays below ``B/2`` and the biased sum below ``B``: 8
 bits up to n = 62, the byte layout of plain packing, and 16 bits from n =
-63.  The one-vote-to-spare test subtracts one from every digit of a biased
-sum, whose digits are at least the bias, at least 1 for ``S <= n``.  The
-hopeful agents, the contenders, a child's dead agents and hope, and a call
-root's dead agents each take a few such additions, where a loop takes a
-step per agent.  A canonical key's fill and live ones come from the dead
-digit set by a shift each.
+63.  The hopeful agents, the contenders, a child's dead agents and hope,
+and a call root's dead agents each take a few such additions, where a loop
+takes a step per agent.  A canonical key's fill and live ones come from the
+dead digit set by a shift each.
 
 Winner sets, and every mask read where a child is found by its raw key,
 stay bitmasks of ``n`` bits: small ints, which Python caches for ``n <=
@@ -135,9 +129,10 @@ key from the digits of the ballot's contenders, and a child's dead agents
 come from its own key by ``_known``'s formula: once per lead key it meets,
 the parent adds to its state that key's ``reaches`` and the votes still to
 come in the child, and each ballot adds its delta.  The child's hopeful
-agents come the same way, from its confirmers' votes.  Only a call's root
-and a terminal state decode all the scores.  Winner sets become frozensets
-only when a call returns.
+agents come the same way, from its confirmers' votes, and give both the
+ballot's bound and the child's settle test.  Only a call's root and a
+terminal state decode all the scores.  Winner sets become frozensets only
+when a call returns.
 
 Under a policy an entry is ``(winners, policy winner, policy ballot, child
 entry)``, linking to the entry of the child its ballot leads to, and a
@@ -281,9 +276,10 @@ class Solver:
     still to move can carry it to the lead, since no SPE elects anyone
     through a vote its voter pays ``-g`` for.  ``_conf_votes[i]`` holds
     those votes, packed as a state's digits.  The bound is taken at a node,
-    for all its ballots, and at each ballot's child, for that ballot alone.
-    Where the leader is the only hopeful agent, the lemma settles the state
-    outright.
+    for all its ballots, and at each ballot's child, for that ballot alone:
+    it is skipped when no agent hopeful in its child is at its threshold
+    level.  Where the leader is the only hopeful agent, the lemma settles
+    the state outright.
 
     With pruning, a searched state is given ``known``: its dead agents as
     a digit set, its leader's key and its canonical memo key.  A parent
@@ -355,7 +351,7 @@ class Solver:
         self._half = half = 1 << width - 1
         self._tops = ones * half  # every agent's digit set
         self._dbits = dbits = [w * half for w in pows]
-        self._conf_digits = confd = [sum([dbits[a] for a in g.out_neighbors[x]]) for x in range(n)]
+        confd = [sum([dbits[a] for a in g.out_neighbors[x]]) for x in range(n)]
         # Ballot lists per voter in visit order, best bonus first (g
         # ascending, f descending), canonical order among equals: (members,
         # member digit set, base, key delta from a state to its child).  A
@@ -381,8 +377,9 @@ class Solver:
         # bitmask for winner sets and a digit set for dead agents.
         self._unconf = [self._all & ~self._conf_mask[x] & ~(1 << x) for x in range(n)]
         self._unconf_digits = [self._tops - confd[x] - dbits[x] for x in range(n)]
-        # at_least[x][k]: agents at level k or more for x.
+        # at_least[x][k]: agents at level k or more for x, and as a digit set.
         self._at_least = [(self._all, c | 1 << x, 1 << x, 0) for x, c in enumerate(self._conf_mask)]
+        self._at_least_digits = [(self._tops, c | d, d, 0) for c, d in zip(confd, dbits)]
         # Per depth i, as packed digits, the votes each agent can still
         # receive from the voters of order[i:]: from all but itself
         # (reach[i]), and from those that confirm it (conf_votes[i]), the
@@ -616,17 +613,13 @@ class Solver:
         move reaches the lead: every outcome of every ballot is one of them
         or an agent the ballot approves without confirming it, which is
         level 0 for the mover.  Past the raw-key probe, a ballot also has
-        its child's bound, the same level over the agents hopeful at the
-        child's lead key ``top``, and is skipped when that cannot reach
-        ``m1``.  It is worked out with the other facts of each ``top``, and
-        only where it can be below the node's: the node's bound is nonzero
-        and the mover is not hopeful at ``top``.  Then an agent the mover
-        confirms is hopeful in every such child if it reaches ``top`` with
-        one vote to spare (``floor``), and otherwise, if it reaches ``top``
-        at all, only in the children of ballots that approve it
-        (``hope_in``).  A skipped child is not a node and counts in
-        ``bound_skips``; the ballots the node-level break leaves unvisited
-        count there and in ``break_skips`` too.
+        its child's bound: by the lemma at the child, every outcome of the
+        ballot is hopeful in its child.  So the ballot is skipped when its
+        child's hopeful digit set has no agent at the ballot's threshold
+        level ``ceil((m1 - base) / unit)``, one ``&`` with the mover's row
+        of ``_at_least_digits``.  A skipped child is not a node and counts
+        in ``bound_skips``; the ballots the node-level break leaves
+        unvisited count there and in ``break_skips`` too.
         """
         n = self.n
         if i == n:
@@ -655,25 +648,22 @@ class Solver:
                 self._quiescent += 1
                 return self._quiet[i][leader]
             ballots = self._ballots_at(x, dead)
+            at_level = self._at_least_digits[x]  # the mover's agents at level k or more
             # The mover's best level over hopeful agents: no ballot reaches more.
-            mover = dbits[x]
-            confd = self._conf_digits[x]
-            bound = unit * (2 if hopeful & mover else 1 if hopeful & confd else 0)
+            bound = unit * (2 if hopeful & at_level[2] else 1 if hopeful & at_level[1] else 0)
             settle = self._quiet[i + 1]
             tb_key = self._tb_key
             width = self._width
             shift = width - 1
             digit = (1 << width) - 1
-            confd_ones = confd >> shift
             # Added to reaches[K] and a ballot's delta: the agents hopeful,
             # and those alive, in its child of lead key K.
             hope_at = p + self._conf_votes[i + 1]
             alive_at = p + self._reach[i + 1]
             # Agents whose key after a vote passes the lead.
             contenders = p + ones + (reaches[lead + 1] or self._reaching(lead + 1)) & tops
-            # (top, hope, alive, leader's digit, settled entry, key offset,
-            # hope_in, floor) by the ballot's contenders; hope_in and floor
-            # give the child's bound.
+            # (top, hope, alive, leader's digit, settled entry, key offset)
+            # by the ballot's contenders.
             facts_of = {}
         else:
             ballots = self._visit_order[x]
@@ -723,28 +713,22 @@ class Solver:
                             top = v
                         rest ^= dbits[a]
                     at_top = reaches[top] or self._reaching(top)
-                    hope, alive = hope_at + at_top, alive_at + at_top
-                    # The mover's best level over the child's hopeful agents
-                    # is floor, or unit if the ballot approves one of hope_in.
-                    hope_in, floor = 0, bound
-                    if bound and not hope & mover:
-                        if hope & confd:  # hopeful even without the mover's vote
-                            floor = unit
-                        else:
-                            floor = 0
-                            hope_in = hope + confd_ones & confd  # hopeful only with it
                     w = self._leader_of[top % n]  # the child's leader
                     offset = n - i - 1 - top // n  # voters to move in it, less its lead
-                    facts = (top, hope, alive, dbits[w], settle[w], offset, hope_in, floor)
+                    facts = (top, hope_at + at_top, alive_at + at_top, dbits[w], settle[w], offset)
                     facts_of[ahead] = facts
-                top, hope, alive, sole, quiet, offset, hope_in, floor = facts
-                if base + floor < m1 and (base + unit < m1 or not dmask & hope_in):
-                    # The child's threat bound: no outcome of this ballot
-                    # reaches m1.  A later ballot's child may have a larger
-                    # bound, so the loop goes on.
+                top, hope, alive, sole, quiet, offset = facts
+                hopes = hope + delta  # its top bits: the child's hopeful agents
+                # The child's threat bound: no hopeful agent at the ballot's
+                # threshold level ceil((m1 - base) / unit) means no outcome
+                # reaches m1.  The index is 0 while m1 = -1, as every base is
+                # at most unit - 2, and at most 2 past the node-level break;
+                # at_level holds top bits only.  A later ballot's child may
+                # have a larger bound, so the loop goes on.
+                if not hopes & at_level[(m1 - base + unit - 1) // unit]:
                     self._bound_skips += 1
                     continue
-                if hope + delta & tops == sole:
+                if hopes & tops == sole:
                     # The child's only hopeful agent is its leader, always so
                     # for a terminal child: it is settled, and not stored.
                     child = quiet

@@ -165,20 +165,31 @@ def resolve_instance(source) -> ConfirmationNetwork:
     raise TypeError(f"unsupported instance source {type(source).__name__}")
 
 
+# A spec's fields by kind, in constructor order: (name, types, what, required).
+_SPEC_FIELDS = {
+    "catalog": (InstanceSpec, (("name", str, "a string", True), ("k", int, "an integer", False))),
+    "random": (RandomSpec, (("n", int, "an integer", True), ("p", (int, float), "a number", True),
+                            ("max_out", int, "an integer", False), ("seed", int, "an integer", True))),
+}
+
+
 def source_from_descriptor(desc: dict):
     if not isinstance(desc, dict):
         raise RecordError(f"instance spec must be a JSON object, got {desc!r:.80}")
     kind = desc.get("kind")
-    try:
-        if kind == "catalog":
-            return InstanceSpec(desc["name"], desc.get("k"))
-        if kind == "random":
-            return RandomSpec(
-                n=desc["n"], p=desc["p"], max_out=desc.get("max_out"), seed=desc["seed"]
-            )
-    except KeyError as exc:
-        raise RecordError(f"instance spec is missing field {exc}") from exc
-    raise RecordError(f"cannot regenerate instance of kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _SPEC_FIELDS:
+        raise RecordError(f"cannot regenerate instance of kind {kind!r:.80}")
+    make, fields = _SPEC_FIELDS[kind]
+    args = []
+    for name, types, what, required in fields:
+        if required and name not in desc:
+            raise RecordError(f"instance spec is missing field {name!r}")
+        value = desc.get(name)
+        wrong = not isinstance(value, types) or isinstance(value, bool)  # bools are ints
+        if wrong and (required or value is not None):  # an optional field may be null
+            raise RecordError(f"instance spec field {name!r} must be {what}, got {value!r:.80}")
+        args.append(value)
+    return make(*args)
 
 
 @dataclass

@@ -222,6 +222,9 @@ def test_metrics_bad_spec_line_exits_1(tmp_path):
     [
         ("metrics", lambda doc: [1, 2], None),
         ("metrics", lambda doc: {"kind": "random", "n": 4, "p": 0.5}, "missing field 'seed'"),
+        ("metrics", lambda doc: {"kind": "random", "n": True, "p": 0.5, "seed": 1}, "'n'"),
+        ("metrics", lambda doc: {"kind": "random", "n": 4, "p": 0.5, "seed": True}, "'seed'"),
+        ("metrics", lambda doc: {"kind": "random", "n": 4, "p": "0.5", "seed": 1}, "'p'"),
         ("report", lambda doc: {**doc, "rule": {"kind": "k_approval", "cap": "x"}}, None),
         ("report", lambda doc: {**doc, "stats": [1]}, "'stats'"),
         ("report", lambda doc: {**doc, "verdicts": []}, "'verdicts'"),
@@ -241,6 +244,9 @@ def test_metrics_bad_spec_line_exits_1(tmp_path):
     ids=[
         "spec-not-an-object",
         "spec-missing-seed",
+        "spec-n-a-bool",
+        "spec-seed-a-bool",
+        "spec-p-a-string",
         "rule-cap-not-an-int",
         "stats-not-an-object",
         "verdicts-not-an-object",

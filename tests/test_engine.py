@@ -259,15 +259,19 @@ def test_digit_sets_match_a_loop_over_the_agents(n):
     contender (v + n > lead), with reach and cr the votes still to come
     from every voter and from confirmers, at this depth and the next.  K
     runs over every lead key a child can have.  _known agrees with the same
-    loop.  Digits switch from 8 to 16 bits between n = 62 and 63."""
+    loop.  A seeded ballot's delta added too gives its child's hopeful and
+    live agents, by the same loop over the child's scores at every key from
+    the child's lead on.  Digits switch from 8 to 16 bits between n = 62 and
+    63; the ballots are approval's up to n = 8, plurality's above."""
     rng = random.Random(9400 + n)
+    pick = random.Random(9500 + n)  # the ballots, apart so the states stay those of rng
     w = digit_width(n)
     tops = digit_set(range(n), n)
     ones = sum(1 << w * a for a in range(n))
     for trial in range(12):
         spec = RandomSpec(n=n, p=rng.choice((0.1, 0.3, 0.6)), max_out=None, seed=rng.randrange(10**6))
         g = gen_random(spec)
-        solver = Solver(g, PLURALITY)
+        solver = Solver(g, APPROVAL if n <= 8 else PLURALITY)
         i = rng.randint(0, n)
         # the first two states have every score at i and at 0
         scores = tuple(i if trial == 0 else 0 if trial == 1 else rng.randint(0, i) for _ in range(n))
@@ -297,6 +301,19 @@ def test_digit_sets_match_a_loop_over_the_agents(n):
                 )
         assert found(0, lead + 1, ones) == digit_set((z for z in range(n) if v[z] + n > lead), n)
         assert solver._known(i, p) == reference_known(solver, i, p), (n, i, scores)
+        if i < n:
+            members, _, _, delta = pick.choice(solver._visit_order[g.voting_order[i]])
+            child = apply_ballot(scores, members)
+            cv = [child[z] * n + prec[z] for z in range(n)]
+            reach = [votes_to_come(g, i + 1, z, False) * n for z in range(n)]
+            cr = [votes_to_come(g, i + 1, z, True) * n for z in range(n)]
+            for key in range(max(cv), max(cv) + n + 1):
+                assert found(solver._conf_votes[i + 1], key, delta) == digit_set(
+                    (z for z in range(n) if cv[z] + cr[z] >= key), n
+                ), (n, i, scores, members, key)
+                assert found(solver._reach[i + 1], key, delta) == digit_set(
+                    (z for z in range(n) if cv[z] + reach[z] >= key), n
+                ), (n, i, scores, members, key)
 
 
 class KnownCheckingSolver(Solver):
@@ -477,7 +494,8 @@ def test_solver_tables_follow_the_preference_definitions(rule):
     assess gives, (n - g) * (n + 1) + f, best first, with each ballot's
     member digit set (the top bit of each member's 8-bit digit) and the key
     delta _pack gives a first vote; its levels are outcome_level times the
-    key unit."""
+    key unit, and its threshold rows the digit sets of the agents at each
+    outcome_level or more."""
     for n in range(1, 7):
         for j, p in enumerate((0.0, 0.3, 0.6, 1.0)):
             g = gen_random(RandomSpec(n=n, p=p, max_out=None, seed=9100 + 10 * n + j))
@@ -497,6 +515,10 @@ def test_solver_tables_follow_the_preference_definitions(rule):
                 assert got == expected, (n, p, x)
                 assert all(list(m) == sorted(m) for m, *_ in solver._visit_order[x])
                 assert solver._level[x] == [outcome_level(g, x, w) * solver._unit for w in range(n)]
+                assert solver._at_least_digits[x] == tuple(
+                    digit_set((w for w in range(n) if outcome_level(g, x, w) >= k), n)
+                    for k in range(4)
+                ), (n, p, x)
 
 
 # -- subgames and repeated calls --------------------------------------------------
