@@ -14,7 +14,10 @@ of games.  Each game and configuration gives one comparison of:
 - the ``BudgetExceededError`` message and counters (or the result, if the
   search fits) at a node budget of a third of the search's nodes;
 - on small games, all of the above with the memo off, pruning off, or both;
-- ``verify.record_fingerprint`` of ``run_one`` records.
+- ``verify.record_fingerprint`` of ``run_one`` records, the same of each
+  record read back from its ``write_records`` line and whether writing it
+  again gives the same line, and ``summary_csv`` over all of those records,
+  with wall times masked.
 
 The games are the 300 ``oracle_specs()`` games, each also from a mid-game
 state, the first 150 ``plurality_bound_specs()`` games, 150 seeded random
@@ -34,7 +37,8 @@ those do not hide a moved result:
 
 - ``results``: both searches completed and their winner sets, policy
   winners or paths differ;
-- ``fingerprints``: run-record fingerprints differ;
+- ``fingerprints``: run-record fingerprints, their JSONL round trip or the
+  report CSV differ;
 - ``counters only``: both completed with the same result, other counters;
 - ``budget stops``: at least one of the two searches stopped on its budget;
 - ``grown``: completed searches (of any configuration, matched or not)
@@ -56,6 +60,7 @@ the search core, not part of the test suite.
 from __future__ import annotations
 
 import importlib
+import io
 import random
 import sys
 import types
@@ -187,10 +192,23 @@ def runs(sv, g, rule, state):
 
 
 def fingerprints(sv):
+    """(label, value) for each record, its JSONL round trip, then the report."""
+    ex, fingerprint = sv.experiments, sv.verify.record_fingerprint
+    records = []
     for source, rule in sv.verify.determinism_sources():
         for pruning in (True, False):
-            record = sv.experiments.run_one(source, rule, use_pruning=pruning)
-            yield f"record/{record.instance}/{rule.label()}/{pruning}", sv.verify.record_fingerprint(record)
+            record = ex.run_one(source, rule, use_pruning=pruning)
+            label = f"record/{record.instance}/{rule.label()}/{pruning}"
+            yield label, fingerprint(record)
+            record.stats["wall_seconds"] = 0.0
+            line = io.StringIO()
+            ex.write_records([record], line)
+            again = ex.read_records(io.StringIO(line.getvalue()))
+            rewritten = io.StringIO()
+            ex.write_records(again, rewritten)
+            yield label + "/round-trip", (fingerprint(again[0]), rewritten.getvalue() == line.getvalue())
+            records.append(record)
+    yield "report", ex.summary_csv(ex.summarize(records))
 
 
 def kind(config: str, a: tuple, b: tuple) -> str:

@@ -17,7 +17,8 @@ import io
 import json
 import math
 import statistics
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
 
@@ -70,13 +71,13 @@ class WinnerMetrics:
         return self.top_popularity_without_own_edges <= 2 * self.popularity
 
     def as_dict(self) -> dict:
-        return {
-            "agent": self.agent,
-            "popularity": self.popularity,
-            "top_popularity_without_own_edges": self.top_popularity_without_own_edges,
-            "gap": self.gap,
-            "ratio": ratio_to_json(self.ratio),
-        }
+        return {**vars(self), "ratio": ratio_to_json(self.ratio)}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "WinnerMetrics":
+        metrics = cls(**data)
+        metrics.ratio = ratio_from_json(metrics.ratio)
+        return metrics
 
 
 @dataclass
@@ -89,12 +90,21 @@ class InstanceMetrics:
 
     def as_dict(self) -> dict:
         return {
-            "winners": self.winners,
+            **vars(self),
             "per_winner": [m.as_dict() for m in self.per_winner],
-            "instance_gap": self.instance_gap,
             "r_min": ratio_to_json(self.r_min),
             "r_max": ratio_to_json(self.r_max),
         }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "InstanceMetrics":
+        """Raises TypeError for a missing or unknown key, here or in a winner's block."""
+        metrics = cls(**data)
+        metrics.winners = list(metrics.winners)
+        metrics.per_winner = [WinnerMetrics.from_dict(m) for m in metrics.per_winner]
+        metrics.r_min = ratio_from_json(metrics.r_min)
+        metrics.r_max = ratio_from_json(metrics.r_max)
+        return metrics
 
 
 def instance_metrics(g: ConfirmationNetwork, winners) -> InstanceMetrics:
@@ -139,38 +149,43 @@ def verdicts(rule: Rule, metrics: InstanceMetrics) -> dict:
     return result
 
 
+# Each spec kind: its type, its builder, and its fields in descriptor order as
+# (name, types, what, required).  Each builder is looked up by name when it is
+# called, so a tracer that rebinds this module's gen_random still sees the call.
+_SPEC_FIELDS = {
+    "catalog": (InstanceSpec, lambda spec: gen_paper_instance(spec),
+                (("name", str, "a string", True), ("k", int, "an integer", False))),
+    "random": (RandomSpec, lambda spec: gen_random(spec),
+               (("n", int, "an integer", True), ("p", (int, float), "a number", True),
+                ("seed", int, "an integer", True), ("max_out", int, "an integer", False))),
+}
+_SPEC_KIND = {spec_type: kind for kind, (spec_type, _, _) in _SPEC_FIELDS.items()}
+
+
+def _spec_kind(source) -> str:
+    kind = _SPEC_KIND.get(type(source))
+    if kind is None:
+        raise TypeError(f"unsupported instance source {type(source).__name__}")
+    return kind
+
+
 def instance_descriptor(source) -> dict:
-    if isinstance(source, InstanceSpec):
-        d = {"kind": "catalog", "name": source.name}
-        if source.k is not None:
-            d["k"] = source.k
-        return d
-    if isinstance(source, RandomSpec):
-        d = {"kind": "random", "n": source.n, "p": source.p, "seed": source.seed}
-        if source.max_out is not None:
-            d["max_out"] = source.max_out
-        return d
+    """A spec's kind and fields, optional ones only when set; a graph's kind only."""
     if isinstance(source, ConfirmationNetwork):
         return {"kind": "graph"}
-    raise TypeError(f"unsupported instance source {type(source).__name__}")
+    kind = _spec_kind(source)
+    desc = {"kind": kind}
+    for name, _, _, required in _SPEC_FIELDS[kind][2]:
+        value = getattr(source, name)
+        if required or value is not None:
+            desc[name] = value
+    return desc
 
 
 def resolve_instance(source) -> ConfirmationNetwork:
-    if isinstance(source, InstanceSpec):
-        return gen_paper_instance(source)
-    if isinstance(source, RandomSpec):
-        return gen_random(source)
     if isinstance(source, ConfirmationNetwork):
         return source
-    raise TypeError(f"unsupported instance source {type(source).__name__}")
-
-
-# A spec's fields by kind, in constructor order: (name, types, what, required).
-_SPEC_FIELDS = {
-    "catalog": (InstanceSpec, (("name", str, "a string", True), ("k", int, "an integer", False))),
-    "random": (RandomSpec, (("n", int, "an integer", True), ("p", (int, float), "a number", True),
-                            ("max_out", int, "an integer", False), ("seed", int, "an integer", True))),
-}
+    return _SPEC_FIELDS[_spec_kind(source)][1](source)
 
 
 def source_from_descriptor(desc: dict):
@@ -179,17 +194,20 @@ def source_from_descriptor(desc: dict):
     kind = desc.get("kind")
     if not isinstance(kind, str) or kind not in _SPEC_FIELDS:
         raise RecordError(f"cannot regenerate instance of kind {kind!r:.80}")
-    make, fields = _SPEC_FIELDS[kind]
-    args = []
-    for name, types, what, required in fields:
+    make, _, spec_fields = _SPEC_FIELDS[kind]
+    unknown = desc.keys() - {"kind", *(name for name, *_ in spec_fields)}
+    if unknown:
+        raise RecordError(f"instance spec has unknown field {min(unknown)!r:.80}")
+    args = {}
+    for name, types, what, required in spec_fields:
         if required and name not in desc:
             raise RecordError(f"instance spec is missing field {name!r}")
         value = desc.get(name)
         wrong = not isinstance(value, types) or isinstance(value, bool)  # bools are ints
         if wrong and (required or value is not None):  # an optional field may be null
             raise RecordError(f"instance spec field {name!r} must be {what}, got {value!r:.80}")
-        args.append(value)
-    return make(*args)
+        args[name] = value
+    return make(**args)
 
 
 @dataclass
@@ -205,17 +223,8 @@ class RunRecord:
     v: int = RECORD_VERSION
 
     def as_dict(self) -> dict:
-        return {
-            "v": self.v,
-            "instance": self.instance,
-            "graph": self.graph,
-            "rule": self.rule,
-            "status": self.status,
-            "metrics": self.metrics.as_dict() if self.metrics is not None else None,
-            "verdicts": self.verdicts,
-            "stats": self.stats,
-            "error": self.error,
-        }
+        metrics = self.metrics.as_dict() if self.metrics is not None else None
+        return {**vars(self), "metrics": metrics}
 
     @staticmethod
     def from_dict(data: dict) -> "RunRecord":
@@ -223,35 +232,16 @@ class RunRecord:
             raise RecordError(f"unsupported record version in {data!r:.80}")
         metrics = None
         if data.get("metrics") is not None:
-            m = data["metrics"]
             try:
-                per_winner = [
-                    WinnerMetrics(
-                        agent=x["agent"],
-                        popularity=x["popularity"],
-                        top_popularity_without_own_edges=x[
-                            "top_popularity_without_own_edges"
-                        ],
-                        gap=x["gap"],
-                        ratio=ratio_from_json(x["ratio"]),
-                    )
-                    for x in m["per_winner"]
-                ]
-                metrics = InstanceMetrics(
-                    winners=list(m["winners"]),
-                    per_winner=per_winner,
-                    instance_gap=m["instance_gap"],
-                    r_min=ratio_from_json(m["r_min"]),
-                    r_max=ratio_from_json(m["r_max"]),
-                )
-            except (KeyError, TypeError) as exc:
+                metrics = InstanceMetrics.from_dict(data["metrics"])
+            except TypeError as exc:
                 raise RecordError(f"malformed metrics block: {exc}") from exc
             gap = metrics.instance_gap
             if isinstance(gap, bool) or not isinstance(gap, int):
                 raise RecordError("record field 'metrics.instance_gap' must be an integer")
-        for field in ("instance", "verdicts", "stats"):
-            if not isinstance(data.get(field, {}), dict):
-                raise RecordError(f"record field {field!r} must be a JSON object")
+        for name in ("instance", "verdicts", "stats"):
+            if not isinstance(data.get(name, {}), dict):
+                raise RecordError(f"record field {name!r} must be a JSON object")
         if "status" in data and data["status"] not in RECORD_STATUSES:
             raise RecordError(
                 f"record field 'status' must be one of {', '.join(RECORD_STATUSES)}, "
@@ -350,18 +340,31 @@ def read_records(fh: TextIO) -> list[RunRecord]:
     return records
 
 
+def _ratio_cell(ratio: Fraction | float | None) -> str:
+    if ratio is None:
+        return ""
+    return "inf" if ratio == math.inf else f"{float(ratio):.6g}"
+
+
+def _cell(fmt):
+    """A report column written with ``fmt``; columns without one use ``str``."""
+    return field(metadata={"cell": fmt})
+
+
 @dataclass
 class RuleSummary:
+    """One row of the report CSV: its fields are the columns, in order."""
+
     rule: str
     records: int
     solved: int
     failures: int
-    max_r_max: Fraction | float | None
-    gap_histogram: dict[int, int]
+    max_r_max: Fraction | float | None = _cell(_ratio_cell)
+    gap_histogram: dict[int, int] = _cell(lambda h: ";".join(f"{g}:{n}" for g, n in h.items()))
     violations: int
-    wall_p50: float
-    wall_p90: float
-    wall_max: float
+    wall_p50: float = _cell("{:.4f}".format)
+    wall_p90: float = _cell("{:.4f}".format)
+    wall_max: float = _cell("{:.4f}".format)
 
 
 def summarize(records: Sequence[RunRecord]) -> list[RuleSummary]:
@@ -378,17 +381,8 @@ def summarize(records: Sequence[RunRecord]) -> list[RuleSummary]:
         group = by_rule[label]
         solved = [r for r in group if r.status == "ok" and r.metrics is not None]
         ratios = [r.metrics.r_max for r in solved]
-        histogram: dict[int, int] = {}
-        for r in solved:
-            histogram[r.metrics.instance_gap] = (
-                histogram.get(r.metrics.instance_gap, 0) + 1
-            )
-        violations = sum(
-            1
-            for r in solved
-            for ok in r.verdicts.values()
-            if not ok
-        )
+        histogram = Counter(r.metrics.instance_gap for r in solved)
+        violations = sum(not ok for r in solved for ok in r.verdicts.values())
         walls = sorted(
             r.stats.get("wall_seconds", 0.0) for r in group if r.stats
         ) or [0.0]
@@ -401,7 +395,7 @@ def summarize(records: Sequence[RunRecord]) -> list[RuleSummary]:
                 max_r_max=max(ratios) if ratios else None,
                 gap_histogram=dict(sorted(histogram.items())),
                 violations=violations,
-                wall_p50=statistics.quantiles(walls, n=2)[0] if len(walls) > 1 else walls[0],
+                wall_p50=statistics.median(walls),
                 wall_p90=walls[max(0, math.ceil(0.9 * len(walls)) - 1)],
                 wall_max=walls[-1],
             )
@@ -410,41 +404,10 @@ def summarize(records: Sequence[RunRecord]) -> list[RuleSummary]:
 
 
 def summary_csv(summaries: Sequence[RuleSummary]) -> str:
+    columns = fields(RuleSummary)
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(
-        [
-            "rule",
-            "records",
-            "solved",
-            "failures",
-            "max_r_max",
-            "gap_histogram",
-            "violations",
-            "wall_p50",
-            "wall_p90",
-            "wall_max",
-        ]
-    )
+    writer.writerow(col.name for col in columns)
     for s in summaries:
-        if s.max_r_max is None:
-            ratio_str = ""
-        elif s.max_r_max == math.inf:
-            ratio_str = "inf"
-        else:
-            ratio_str = f"{float(s.max_r_max):.6g}"
-        writer.writerow(
-            [
-                s.rule,
-                s.records,
-                s.solved,
-                s.failures,
-                ratio_str,
-                ";".join(f"{gap}:{count}" for gap, count in s.gap_histogram.items()),
-                s.violations,
-                f"{s.wall_p50:.4f}",
-                f"{s.wall_p90:.4f}",
-                f"{s.wall_max:.4f}",
-            ]
-        )
+        writer.writerow(col.metadata.get("cell", str)(getattr(s, col.name)) for col in columns)
     return buf.getvalue()

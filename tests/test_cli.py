@@ -225,6 +225,10 @@ def test_metrics_bad_spec_line_exits_1(tmp_path):
         ("metrics", lambda doc: {"kind": "random", "n": True, "p": 0.5, "seed": 1}, "'n'"),
         ("metrics", lambda doc: {"kind": "random", "n": 4, "p": 0.5, "seed": True}, "'seed'"),
         ("metrics", lambda doc: {"kind": "random", "n": 4, "p": "0.5", "seed": 1}, "'p'"),
+        ("metrics", lambda doc: {"kind": "random", "n": 4, "p": 0.5, "seed": 1, "maxout": 2},
+         "instance spec has unknown field 'maxout'"),
+        ("metrics", lambda doc: {"kind": "catalog", "name": "g_k", "K": 3},
+         "instance spec has unknown field 'K'"),
         ("report", lambda doc: {**doc, "rule": {"kind": "k_approval", "cap": "x"}}, None),
         ("report", lambda doc: {**doc, "stats": [1]}, "'stats'"),
         ("report", lambda doc: {**doc, "verdicts": []}, "'verdicts'"),
@@ -240,6 +244,8 @@ def test_metrics_bad_spec_line_exits_1(tmp_path):
          "'metrics.instance_gap'"),
         ("report", lambda doc: {**doc, "metrics": {**doc["metrics"], "instance_gap": True}},
          "'metrics.instance_gap'"),
+        ("report", lambda doc: {**doc, "metrics": {**doc["metrics"], "r_mid": [1, 1]}},
+         "malformed metrics block"),
     ],
     ids=[
         "spec-not-an-object",
@@ -247,6 +253,8 @@ def test_metrics_bad_spec_line_exits_1(tmp_path):
         "spec-n-a-bool",
         "spec-seed-a-bool",
         "spec-p-a-string",
+        "spec-unknown-field",
+        "catalog-spec-unknown-field",
         "rule-cap-not-an-int",
         "stats-not-an-object",
         "verdicts-not-an-object",
@@ -258,6 +266,7 @@ def test_metrics_bad_spec_line_exits_1(tmp_path):
         "instance-gap-a-list",
         "instance-gap-a-string",
         "instance-gap-a-bool",
+        "metrics-unknown-field",
     ],
 )
 def test_malformed_input_line_exits_1_without_traceback(tmp_path, command, edit, field):

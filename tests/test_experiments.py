@@ -122,6 +122,8 @@ def test_source_descriptor_round_trip():
     for source in (
         InstanceSpec("g_k", 2),
         RandomSpec(n=5, p=0.3, max_out=1, seed=11),
+        InstanceSpec("example1"),
+        RandomSpec(4, 0.5, None, 9),
     ):
         desc = json.loads(json.dumps(instance_descriptor(source)))
         assert source_from_descriptor(desc) == source
@@ -142,5 +144,8 @@ def test_summarize_and_csv():
     assert sum(plurality.gap_histogram.values()) == 2
     text = summary_csv(summaries)
     lines = text.strip().splitlines()
-    assert lines[0].startswith("rule,records,solved")
+    # perfbench/checker.py reads the report by these column names
+    assert lines[0] == (
+        "rule,records,solved,failures,max_r_max,gap_histogram,violations,wall_p50,wall_p90,wall_max"
+    )
     assert len(lines) == 3
