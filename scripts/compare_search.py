@@ -17,7 +17,10 @@ of games.  Each game and configuration gives one comparison of:
 - ``verify.record_fingerprint`` of ``run_one`` records, the same of each
   record read back from its ``write_records`` line and whether writing it
   again gives the same line, and ``summary_csv`` over all of those records,
-  with wall times masked.
+  with wall times masked;
+- the winner set of ``naive_achievable_winners`` (or its ``NaiveSizeError``
+  message) on the 300 ``oracle_specs()`` games, on every digraph with n <= 3
+  under three rules, and on the ``LARGE`` games, whose trees pass its limit.
 
 The games are the 300 ``oracle_specs()`` games, each also from a mid-game
 state, the first 150 ``plurality_bound_specs()`` games, 150 seeded random
@@ -28,7 +31,8 @@ workload and ``plurality_chain(5)`` and ``(6)`` (n = 14 and 17).  Each of
 the larger games takes under a second per search.  It prints
 ``comparisons N, mismatches M`` with the first mismatches, the gravest kind
 first (see below), and a tally of all of them by configuration label
-(``no-pruning/set/budget 69``, and ``record`` for fingerprints).
+(``no-pruning/set/budget 69``, ``record`` for fingerprints and ``oracle``
+for the reference oracle).
 
 The budget stops sit at a third of each tree's own node count, so a change
 that shrinks the tree moves every one of them, and counters move wherever
@@ -36,7 +40,8 @@ a search meets a smaller tree.  The mismatches are also split by kind, so
 those do not hide a moved result:
 
 - ``results``: both searches completed and their winner sets, policy
-  winners or paths differ;
+  winners or paths differ, or the two oracles give different winner sets or
+  size errors;
 - ``fingerprints``: run-record fingerprints, their JSONL round trip or the
   report CSV differ;
 - ``counters only``: both completed with the same result, other counters;
@@ -94,7 +99,7 @@ def load(tree: Path, name: str) -> types.SimpleNamespace:
     return types.SimpleNamespace(
         **{
             mod: importlib.import_module(f"{name}.{mod}")
-            for mod in ("balloting", "engine", "experiments", "families", "verify")
+            for mod in ("balloting", "engine", "experiments", "families", "network", "verify")
         }
     )
 
@@ -211,8 +216,32 @@ def fingerprints(sv):
     yield "report", ex.summary_csv(ex.summarize(records))
 
 
+def oracles(sv):
+    """(label, winner set or size error) of the reference oracle on each game."""
+    b, engine = sv.balloting, sv.engine
+    rules = (b.PLURALITY, b.APPROVAL, b.k_approval(2))
+    cases = [
+        (label, g, rule)
+        for label, g, rule, state in games(sv)
+        if state is None and label.startswith(("oracle/", "large/"))
+    ]
+    for n in (1, 2, 3):
+        pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+        for mask in range(1 << len(pairs)):
+            edges = [pair for j, pair in enumerate(pairs) if mask >> j & 1]
+            g = sv.network.ConfirmationNetwork.build(n, edges)
+            cases += [(f"digraph/{n}/{mask}/{rule.label()}", g, rule) for rule in rules]
+    for label, g, rule in cases:
+        try:
+            yield f"naive/{label}", sorted(engine.naive_achievable_winners(g, rule))
+        except engine.NaiveSizeError as exc:
+            yield f"naive/{label}", str(exc)
+
+
 def kind(config: str, a: tuple, b: tuple) -> str:
     """The kind of a mismatch between outcomes ``a`` (old) and ``b`` (new)."""
+    if config == "oracle":
+        return "results"
     if config == "record":
         return "fingerprints"
     if a[0] == "budget" or b[0] == "budget":
@@ -244,10 +273,14 @@ def main(argv: list[str]) -> int:
                     size[tree] = [total + result[2][j] for total, j in zip(size[tree], GROWTH)]
             if a != b:
                 mismatches.append((f"{label}/{config}", config, a, b))
-    for (label, a), (_, b) in zip(fingerprints(old), fingerprints(new)):
-        comparisons += 1
-        if a != b:
-            mismatches.append((label, "record", a, b))
+    for config, pairs in (
+        ("record", zip(fingerprints(old), fingerprints(new))),
+        ("oracle", zip(oracles(old), oracles(new))),
+    ):
+        for (label, a), (_, b) in pairs:
+            comparisons += 1
+            if a != b:
+                mismatches.append((label, config, a, b))
     print(f"comparisons {comparisons}, mismatches {len(mismatches)}")
     mismatches.sort(key=lambda m: KINDS.index(kind(m[1], m[2], m[3])))  # gravest first
     for label, _config, a, b in mismatches[:10]:

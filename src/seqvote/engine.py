@@ -820,6 +820,8 @@ def naive_achievable_winners(g: ConfirmationNetwork, rule: Rule) -> frozenset[in
 
     It walks the full game tree, every legal ballot at every node, and gives
     each ballot the threshold of the best worst key among all the others.
+    The node's one threshold, the best worst key over all its ballots, is the
+    same test: a ballot's own worst key is no higher than any key it gives.
     The per-voter constants are built once per call, before the walk: each
     depth's legal ballots with their ``(-g, f)`` key parts, and the mover's
     row of outcome levels.  Nothing is shared with :class:`Solver`.
@@ -850,18 +852,19 @@ def naive_achievable_winners(g: ConfirmationNetwork, rule: Rule) -> frozenset[in
             return {score_winner(scores, tb)}
         levels, ballots = tables[i]
         options = []
+        threshold = None
         for b, neg_g, f in ballots:
             child = recurse(i + 1, apply_ballot(scores, b))
-            worst = min((levels[w], neg_g, f) for w in child)
-            options.append((child, neg_g, f, worst))
-        winners: set[int] = set()
-        for idx, (child, neg_g, f, _worst) in enumerate(options):
-            threats = [o[3] for j, o in enumerate(options) if j != idx]
-            threshold = max(threats) if threats else None
-            for w in child:
-                if threshold is None or (levels[w], neg_g, f) >= threshold:
-                    winners.add(w)
-        return winners
+            worst = (min(levels[w] for w in child), neg_g, f)
+            if threshold is None or worst > threshold:
+                threshold = worst
+            options.append((child, neg_g, f))
+        return {
+            w
+            for child, neg_g, f in options
+            for w in child
+            if (levels[w], neg_g, f) >= threshold
+        }
 
     result = recurse(0, (0,) * n)
     if not result:

@@ -230,6 +230,9 @@ class RunRecord:
     def from_dict(data: dict) -> "RunRecord":
         if not isinstance(data, dict) or data.get("v") != RECORD_VERSION:
             raise RecordError(f"unsupported record version in {data!r:.80}")
+        unknown = data.keys() - {f.name for f in fields(RunRecord)}
+        if unknown:
+            raise RecordError(f"record has unknown field {min(unknown)!r:.80}")
         metrics = None
         if data.get("metrics") is not None:
             try:
@@ -239,9 +242,14 @@ class RunRecord:
             gap = metrics.instance_gap
             if isinstance(gap, bool) or not isinstance(gap, int):
                 raise RecordError("record field 'metrics.instance_gap' must be an integer")
-        for name in ("instance", "verdicts", "stats"):
+        for name in ("graph", "verdicts", "stats"):
             if not isinstance(data.get(name, {}), dict):
                 raise RecordError(f"record field {name!r} must be a JSON object")
+        if data.get("instance", {"kind": "graph"}) != {"kind": "graph"}:  # a graph has no spec
+            try:
+                source_from_descriptor(data["instance"])
+            except RecordError as exc:
+                raise RecordError(f"record field 'instance': {exc}") from exc
         if "status" in data and data["status"] not in RECORD_STATUSES:
             raise RecordError(
                 f"record field 'status' must be one of {', '.join(RECORD_STATUSES)}, "

@@ -246,6 +246,12 @@ def test_metrics_bad_spec_line_exits_1(tmp_path):
          "'metrics.instance_gap'"),
         ("report", lambda doc: {**doc, "metrics": {**doc["metrics"], "r_mid": [1, 1]}},
          "malformed metrics block"),
+        ("report", lambda doc: {**doc, "metric": {"r_max": [9, 1]}},
+         "record has unknown field 'metric'"),
+        ("report", lambda doc: {**doc, "instance": {**doc["instance"], "K": 3}},
+         "instance spec has unknown field 'K'"),
+        ("report", lambda doc: {**doc, "instance": {"kind": "bogus"}}, "'instance'"),
+        ("report", lambda doc: {**doc, "graph": "x"}, "'graph'"),
     ],
     ids=[
         "spec-not-an-object",
@@ -267,6 +273,10 @@ def test_metrics_bad_spec_line_exits_1(tmp_path):
         "instance-gap-a-string",
         "instance-gap-a-bool",
         "metrics-unknown-field",
+        "record-unknown-field",
+        "instance-unknown-field",
+        "instance-unknown-kind",
+        "graph-not-an-object",
     ],
 )
 def test_malformed_input_line_exits_1_without_traceback(tmp_path, command, edit, field):

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import random
 from pathlib import Path
@@ -456,18 +457,29 @@ def test_naive_oracle_matches_an_independent_brute_force(monkeypatch):
     the solver's tables are checked against assess and outcome_level, so
     comparing one with the other cannot catch a fault in those.
     perfbench's checker imports nothing from seqvote and builds its ballots
-    and utilities on its own."""
+    and utilities on its own.  Each game is checked with identity orders and
+    with its voting and tie-break orders shuffled by its own seed."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     checker = importlib.import_module("checker")
     mismatches = []
     for spec, rule in oracle_specs():
         g = gen_random(spec)
-        brute = checker.brute_force_winners(
-            checker.Graph(to_json_dict(g)), rule.ballot_cap(g.n)
+        rng = random.Random(spec.seed)
+        voting, tiebreak = list(range(g.n)), list(range(g.n))
+        rng.shuffle(voting)
+        rng.shuffle(tiebreak)
+        shuffled = dataclasses.replace(
+            g, voting_order=tuple(voting), tiebreak_order=tuple(tiebreak)
         )
-        oracle = naive_achievable_winners(g, rule)
-        if brute != set(oracle):
-            mismatches.append((spec.seed, rule.label(), brute, sorted(oracle)))
+        for game in (g, shuffled):
+            brute = checker.brute_force_winners(
+                checker.Graph(to_json_dict(game)), rule.ballot_cap(game.n)
+            )
+            oracle = naive_achievable_winners(game, rule)
+            if brute != set(oracle):
+                mismatches.append(
+                    (spec.seed, rule.label(), game.voting_order, brute, sorted(oracle))
+                )
     assert not mismatches, mismatches[:5]
 
 
