@@ -13,7 +13,7 @@ of games.  Each game and configuration gives one comparison of:
 - all six ``SolveStats`` counters of each of those searches;
 - the ``BudgetExceededError`` message and counters (or the result, if the
   search fits) at a node budget of a third of the search's nodes;
-- on small games, all of the above with the memo off, pruning off, or both;
+- on small games, all of the above with pruning off;
 - ``verify.record_fingerprint`` of ``run_one`` records, the same of each
   record read back from its ``write_records`` line and whether writing it
   again gives the same line, and ``summary_csv`` over all of those records,
@@ -76,7 +76,7 @@ COUNTERS = ("nodes", "cache_hits", "cache_size", "quiescent", "bound_skips", "me
 KINDS = ("results", "fingerprints", "counters only", "budget stops")  # of mismatch, gravest first
 FATAL = KINDS[:2]  # the kinds that fail the comparison, with any grown search
 GROWTH = (COUNTERS.index("nodes"), COUNTERS.index("cache_size"))  # must not grow
-SMALL_N = 4  # games this small also run with the memo and/or pruning off
+SMALL_N = 4  # games this small also run with pruning off
 # Seeded random games with n = 9-12: (n, p, seed, rule name).
 LARGE = [
     (9, 0.15, 7500, "plurality"),
@@ -180,13 +180,9 @@ def runs(sv, g, rule, state):
         ("canonical", engine.Policy.canonical()),
         ("bias", engine.Policy.bias_toward(g.n - 1)),
     ]
-    configs = [("memo+pruning", {})]
+    configs = [("pruning", {})]
     if g.n <= SMALL_N:
-        configs += [
-            ("no-memo", {"use_memo": False}),
-            ("no-pruning", {"use_pruning": False}),
-            ("plain", {"use_memo": False, "use_pruning": False}),
-        ]
+        configs.append(("no-pruning", {"use_pruning": False}))
     for config_label, config in configs:
         for policy_label, policy in policies:
             label = f"{config_label}/{policy_label}"

@@ -28,7 +28,7 @@ class Rule:
         if self.kind not in ("plurality", "approval", "k_approval"):
             raise RuleError(f"unknown rule kind {self.kind!r}")
         if self.kind == "k_approval":
-            if not isinstance(self.cap, int) or self.cap < 1:
+            if not isinstance(self.cap, int) or isinstance(self.cap, bool) or self.cap < 1:
                 raise RuleError(f"k_approval needs a positive cap, got {self.cap!r}")
         elif self.cap is not None:
             raise RuleError(f"{self.kind} does not take a cap")

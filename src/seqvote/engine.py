@@ -262,14 +262,13 @@ class Solver:
     budget, so callers that need several facts about one game solve it once
     and read them all from that result.
 
-    ``use_memo`` and ``use_pruning`` exist so the soundness suites can
-    compare every configuration; both default on, and neither changes any
-    result.  ``use_pruning`` covers every exact cut: dead agents in memo keys
-    and ballot lists, the threat bound and the sole-hopeful settle.
-    With it off the search is the plain recursion over every legal ballot,
-    in the same visit order under a bound that never fires, which moves no
-    result and no counter of a completed search; :func:`naive_achievable_winners`
-    stays the canonical-order reference.
+    Every search memoizes.  ``use_pruning`` defaults on, changes no result
+    and covers every exact cut: dead agents in memo keys and ballot lists,
+    the threat bound and the sole-hopeful settle.  With it off the search is
+    the plain recursion over every legal ballot, memoized on raw states, in
+    the same visit order under a bound that never fires, which moves no
+    counter of a completed search; :func:`naive_achievable_winners` stays
+    the canonical-order reference.
 
     The threat bound rests on a lemma of the game (see the module
     docstring): an agent wins a subgame only if the votes of its confirmers
@@ -310,13 +309,11 @@ class Solver:
         g: ConfirmationNetwork,
         rule: Rule,
         *,
-        use_memo: bool = True,
         use_pruning: bool = True,
         budget: Budget | None = None,
     ):
         self.g = g
         self.rule = rule
-        self.use_memo = use_memo
         self.use_pruning = use_pruning
         self.budget = budget or Budget()
 
@@ -671,7 +668,7 @@ class Solver:
         low = self._unconf[x]
         conf = self._conf_mask[x]
         search = self._search
-        lookup = memo.get  # the memo stays empty when it is off
+        lookup = memo.get
         policy = self._policy
         if policy is not None:
             levels = self._level[x]
@@ -775,11 +772,10 @@ class Solver:
         level = m1 // unit
         winners = pre & at_least[level] | acc & at_least[level + 1]
         entry = (winners,) if policy is None else (winners, picked[1], pick, picked)
-        if self.use_memo:  # stored under its memo key, and p as an alias while the cap allows
-            memo[key] = entry
-            if key != p and self._aliases < _ALIAS_CAP * (len(memo) - self._aliases):
-                self._aliases += 1
-                memo[p] = entry
+        memo[key] = entry  # stored under its memo key, and p as an alias while the cap allows
+        if key != p and self._aliases < _ALIAS_CAP * (len(memo) - self._aliases):
+            self._aliases += 1
+            memo[p] = entry
         return entry
 
     def _settled(self, x: int, after: list) -> list:

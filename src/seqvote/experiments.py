@@ -17,6 +17,7 @@ import io
 import json
 import math
 import statistics
+import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -258,9 +259,9 @@ class RunRecord:
         for name, ok in data.get("verdicts", {}).items():
             if not isinstance(ok, bool):
                 raise RecordError(f"record field 'verdicts.{name}' must be true or false")
-        wall = data.get("stats", {}).get("wall_seconds", 0.0)
-        if isinstance(wall, bool) or not isinstance(wall, (int, float)):
-            raise RecordError("record field 'stats.wall_seconds' must be a number")
+        wall = data.get("stats", {}).get("wall_seconds", 0.0)  # not a bool, NaN or past a float
+        if type(wall) not in (int, float) or not 0 <= wall <= sys.float_info.max:
+            raise RecordError("record field 'stats.wall_seconds' must be a finite number >= 0")
         try:
             return RunRecord(
                 instance=data["instance"],

@@ -238,15 +238,17 @@ def check_oracle_equivalence(log: TextIO | None = None) -> tuple[bool, str]:
     for spec, rule in oracle_specs():
         g = gen_random(spec)
         reference = naive_achievable_winners(g, rule)
-        for use_memo, use_pruning in ((True, True), (True, False), (False, True)):
-            got = Solver(g, rule, use_memo=use_memo, use_pruning=use_pruning).achievable_winners()
+        for config, got in (
+            ("pruned", Solver(g, rule).achievable_winners()),
+            ("no-pruning", Solver(g, rule, use_pruning=False).achievable_winners()),
+            ("canonical-policy", Solver(g, rule).policy_spe(Policy.canonical()).winners),
+        ):
             total += 1
             if got != reference:
                 mismatches += 1
                 _log(
                     log,
-                    f"  oracle mismatch seed={spec.seed} rule={rule.label()} "
-                    f"memo={use_memo} pruning={use_pruning}: "
+                    f"  oracle mismatch seed={spec.seed} rule={rule.label()} {config}: "
                     f"{sorted(got)} != {sorted(reference)}",
                 )
     return mismatches == 0, f"{total} solver/oracle comparisons, {mismatches} mismatches"

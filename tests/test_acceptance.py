@@ -182,7 +182,9 @@ def test_criterion_1_kapproval_chain_c3_achievable():
 
 
 def test_criterion_2_oracle_equivalence():
-    """Memoized+pruned solver equals the naive oracle on 300 seeded instances."""
+    """On 300 seeded instances, three searches equal the naive oracle: the
+    set-only search with pruning on, the same with pruning off, and the
+    canonical-policy search that ``seqvote solve`` runs."""
     r = verify.check_oracle_equivalence()
     assert r.passed, r.detail
     assert r.seconds < 600, f"exceeded 10-minute budget: {r.seconds:.0f}s"

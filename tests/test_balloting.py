@@ -25,6 +25,8 @@ def test_rule_validation():
     with pytest.raises(RuleError):
         Rule("k_approval")  # missing cap
     with pytest.raises(RuleError):
+        Rule("k_approval", True)  # a bool is an int, but not a cap
+    with pytest.raises(RuleError):
         Rule("plurality", cap=1)
     assert k_approval(3).cap == 3
 

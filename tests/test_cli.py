@@ -236,7 +236,16 @@ def test_metrics_bad_spec_line_exits_1(tmp_path):
         ("report", lambda doc: {**doc, "status": []}, "'status'"),
         ("report", lambda doc: {**doc, "instance": 5}, "'instance'"),
         ("report", lambda doc: {**doc, "verdicts": {"a": "x"}}, "'verdicts.a'"),
+        ("report", lambda doc: {**doc, "rule": {"kind": "k_approval", "cap": True}}, "positive cap"),
         ("report", lambda doc: {**doc, "stats": {**doc["stats"], "wall_seconds": "x"}},
+         "'stats.wall_seconds'"),
+        ("report", lambda doc: {**doc, "stats": {**doc["stats"], "wall_seconds": float("nan")}},
+         "'stats.wall_seconds'"),
+        ("report", lambda doc: {**doc, "stats": {**doc["stats"], "wall_seconds": 1e400}},
+         "'stats.wall_seconds'"),
+        ("report", lambda doc: {**doc, "stats": {**doc["stats"], "wall_seconds": 10**400}},
+         "'stats.wall_seconds'"),
+        ("report", lambda doc: {**doc, "stats": {**doc["stats"], "wall_seconds": -1.0}},
          "'stats.wall_seconds'"),
         ("report", lambda doc: {**doc, "metrics": {**doc["metrics"], "instance_gap": [1]}},
          "'metrics.instance_gap'"),
@@ -268,7 +277,12 @@ def test_metrics_bad_spec_line_exits_1(tmp_path):
         "status-not-a-status",
         "instance-not-an-object",
         "verdict-not-a-bool",
+        "rule-cap-a-bool",
         "wall-seconds-not-a-number",
+        "wall-seconds-nan",
+        "wall-seconds-infinite",
+        "wall-seconds-past-the-largest-float",
+        "wall-seconds-negative",
         "instance-gap-a-list",
         "instance-gap-a-string",
         "instance-gap-a-bool",

@@ -88,15 +88,14 @@ def test_solver_matches_naive_oracle(rule, n_max):
         assert got == expected, (g.n, sorted(g.edges))
 
 
-def test_memo_and_pruning_do_not_change_results():
+def test_pruning_does_not_change_results():
     for g in random_instances(20, 4, seed0=1700):
         results = set()
-        for memo in (True, False):
-            for pruning in (True, False):
-                solver = Solver(g, APPROVAL, use_memo=memo, use_pruning=pruning)
-                spe = solver.policy_spe(Policy.bias_toward(g.n - 1))
-                winners = solver.achievable_winners()
-                results.add((winners, spe.winners, spe.winner, tuple(spe.path)))
+        for pruning in (True, False):
+            solver = Solver(g, APPROVAL, use_pruning=pruning)
+            spe = solver.policy_spe(Policy.bias_toward(g.n - 1))
+            winners = solver.achievable_winners()
+            results.add((winners, spe.winners, spe.winner, tuple(spe.path)))
         assert len(results) == 1
     # the pruning counters: both rules fire on plurality_chain(3), neither
     # without pruning
@@ -329,24 +328,21 @@ class KnownCheckingSolver(Solver):
 
 
 def test_a_parent_derives_what_its_child_would_find():
-    """On the oracle games with the memo on and off, and on n = 6 approval
-    and n = 7 plurality and approval games with it on."""
-    small = [(gen_random(spec), rule) for spec, rule in oracle_specs()]
-    large = [
+    """On the oracle games, on n = 6 approval, n = 7 plurality, approval and
+    2-approval games, and on n = 8 plurality games."""
+    games = [(gen_random(spec), rule) for spec, rule in oracle_specs()] + [
         (gen_random(RandomSpec(n=n, p=p, max_out=None, seed=seed0 + j)), rule)
         for n, rule, seed0 in (
             (6, APPROVAL, 8100), (7, PLURALITY, 8200), (6, APPROVAL, 8300), (6, APPROVAL, 8400),
-            (7, APPROVAL, 8800),
+            (7, APPROVAL, 8800), (7, k_approval(2), 8900), (8, PLURALITY, 9000),
         )
         for j, p in enumerate((0.15, 0.3, 0.5, 0.75))
     ]
     checked = 0
-    for games, memo_settings in ((small, (True, False)), (large, (True,))):
-        for g, rule in games:
-            for use_memo in memo_settings:
-                solver = KnownCheckingSolver(g, rule, use_memo=use_memo)
-                solver.policy_spe(Policy.canonical())
-                checked += solver.checked
+    for g, rule in games:
+        solver = KnownCheckingSolver(g, rule)
+        solver.policy_spe(Policy.canonical())
+        checked += solver.checked
     assert checked >= 39_348
 
 
@@ -401,8 +397,9 @@ def test_translated_live_scores_give_the_same_equilibria():
     approval and n = 7 plurality games.  Each state's twin moves every live
     agent's score by +1 or -1, where that leaves a valid state with the same
     live agents.  The two share a canonical memo key, and solved by fresh
-    solvers, memo on and off, under every kind of policy, all four give the
-    same answer."""
+    solvers, pruning on and off, under every kind of policy, all four give
+    the same answer.  With pruning off the memo keys are the raw states, so
+    this checks the canonical keys and aliases against exact keys."""
     specs = oracle_specs() + [
         (RandomSpec(n=n, p=p, max_out=None, seed=seed0 + j), rule)
         for n, rule, seed0 in ((6, APPROVAL, 8500), (7, PLURALITY, 8600))
@@ -432,8 +429,8 @@ def test_translated_live_scores_give_the_same_equilibria():
             for policy in (None, Policy.canonical(), Policy.bias_toward(g.n - 1)):
                 answers = set()
                 for s in (scores, twin):
-                    for memo in (True, False):
-                        winners, winner, path = Solver(g, rule, use_memo=memo).solve(
+                    for pruning in (True, False):
+                        winners, winner, path = Solver(g, rule, use_pruning=pruning).solve(
                             SubgameState(i, s), policy
                         )
                         answers.add((winners, winner, None if path is None else tuple(path)))
@@ -452,6 +449,26 @@ def test_naive_oracle_pins_the_papers_examples():
         assert {g.names[w] for w in naive_achievable_winners(g, rule)} == expected
 
 
+def load_checker(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("checker")
+
+
+def brute_force(checker, g, rule):
+    """perfbench's brute-force winner set of ``g`` under ``rule``; None past
+    its leaf limit."""
+    return checker.brute_force_winners(checker.Graph(to_json_dict(g)), rule.ballot_cap(g.n))
+
+
+def with_shuffled_orders(g, seed):
+    """``g`` with its voting and tie-break orders shuffled by ``seed``."""
+    rng = random.Random(seed)
+    voting, tiebreak = list(range(g.n)), list(range(g.n))
+    rng.shuffle(voting)
+    rng.shuffle(tiebreak)
+    return dataclasses.replace(g, voting_order=tuple(voting), tiebreak_order=tuple(tiebreak))
+
+
 def test_naive_oracle_matches_an_independent_brute_force(monkeypatch):
     """The oracle and the solver share the canonical ballot enumeration, and
     the solver's tables are checked against assess and outcome_level, so
@@ -459,28 +476,42 @@ def test_naive_oracle_matches_an_independent_brute_force(monkeypatch):
     perfbench's checker imports nothing from seqvote and builds its ballots
     and utilities on its own.  Each game is checked with identity orders and
     with its voting and tie-break orders shuffled by its own seed."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    checker = importlib.import_module("checker")
+    checker = load_checker(monkeypatch)
     mismatches = []
     for spec, rule in oracle_specs():
         g = gen_random(spec)
-        rng = random.Random(spec.seed)
-        voting, tiebreak = list(range(g.n)), list(range(g.n))
-        rng.shuffle(voting)
-        rng.shuffle(tiebreak)
-        shuffled = dataclasses.replace(
-            g, voting_order=tuple(voting), tiebreak_order=tuple(tiebreak)
-        )
-        for game in (g, shuffled):
-            brute = checker.brute_force_winners(
-                checker.Graph(to_json_dict(game)), rule.ballot_cap(game.n)
-            )
+        for game in (g, with_shuffled_orders(g, spec.seed)):
+            brute = brute_force(checker, game, rule)
             oracle = naive_achievable_winners(game, rule)
             if brute != set(oracle):
                 mismatches.append(
                     (spec.seed, rule.label(), game.voting_order, brute, sorted(oracle))
                 )
     assert not mismatches, mismatches[:5]
+
+
+def test_solver_matches_the_independent_brute_force_past_the_oracle(monkeypatch):
+    """Past oracle_specs() sizes, Solver is checked against perfbench's
+    brute force, which memoizes on exact (i, scores) states and shares no
+    code with it: 8 seeded games each of plurality n = 6 and 7, 2-approval
+    n = 5 and approval n = 5, with shuffled orders, and the catalog's g_k(2)
+    and plurality_chain(3) (n = 8) under plurality."""
+    checker = load_checker(monkeypatch)
+    mismatches = []
+    for n, rule, seed0 in (
+        (6, PLURALITY, 9200), (7, PLURALITY, 9300), (5, k_approval(2), 9400), (5, APPROVAL, 9500),
+    ):
+        for j in range(8):
+            spec = RandomSpec(n=n, p=(0.15, 0.3, 0.5, 0.75)[j % 4], max_out=None, seed=seed0 + j)
+            g = with_shuffled_orders(gen_random(spec), spec.seed)
+            brute, got = brute_force(checker, g, rule), winners_of(g, rule)
+            if brute != got:
+                mismatches.append((spec, rule.label(), brute, sorted(got)))
+    assert not mismatches, mismatches[:5]
+    monkeypatch.setattr(checker, "LEAF_LIMIT", 8**8)  # 8^8 leaves each, past the limit
+    for name, k in (("g_k", 2), ("plurality_chain", 3)):
+        g = gen_paper_instance(InstanceSpec(name, k))
+        assert brute_force(checker, g, PLURALITY) == winners_of(g, PLURALITY), name
 
 
 def test_naive_oracle_refuses_oversized_games():
@@ -710,17 +741,17 @@ def test_zero_seconds_stops_at_the_first_node():
 
 
 def test_policy_path_comes_from_the_budgeted_search_alone():
-    """policy_spe reads its path off the search's own entries: with the memo
+    """policy_spe reads its path off the search's own entries: with pruning
     on or off it expands no node after the search, and a budget of exactly
     the search's nodes gives the same path and winner."""
     g = example1()
     expected = Solver(g, PLURALITY).policy_spe(Policy.canonical())
-    for use_memo in (True, False):
-        probe = Solver(g, PLURALITY, use_memo=use_memo)
+    for use_pruning in (True, False):
+        probe = Solver(g, PLURALITY, use_pruning=use_pruning)
         assert probe.policy_spe(Policy.canonical()) == expected
         assert probe._nodes == probe.last_stats.nodes
         nodes = probe.last_stats.nodes
-        s = Solver(g, PLURALITY, use_memo=use_memo, budget=Budget(max_nodes=nodes))
+        s = Solver(g, PLURALITY, use_pruning=use_pruning, budget=Budget(max_nodes=nodes))
         spe = s.policy_spe(Policy.canonical())
         assert (spe.winner, spe.path) == (expected.winner, expected.path)
         assert s._nodes == s.last_stats.nodes == nodes
