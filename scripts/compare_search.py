@@ -18,6 +18,11 @@ of games.  Each game and configuration gives one comparison of:
   record read back from its ``write_records`` line and whether writing it
   again gives the same line, and ``summary_csv`` over all of those records,
   with wall times masked;
+- each game's graph document (``network.to_json_dict``), the same with the
+  game's voting order reversed and its tie-break order rotated, and each of
+  those records' spec (``experiments.instance_descriptor``), and whether
+  reading it back (``from_json_dict``, ``source_from_descriptor``) gives the
+  same graph or spec;
 - the winner set of ``naive_achievable_winners`` (or its ``NaiveSizeError``
   message) on the 300 ``oracle_specs()`` games, on every digraph with n <= 3
   under three rules, and on the ``LARGE`` games, whose trees pass its limit.
@@ -42,8 +47,8 @@ those do not hide a moved result:
 - ``results``: both searches completed and their winner sets, policy
   winners or paths differ, or the two oracles give different winner sets or
   size errors;
-- ``fingerprints``: run-record fingerprints, their JSONL round trip or the
-  report CSV differ;
+- ``fingerprints``: run-record fingerprints, their JSONL round trip, the
+  report CSV, or a graph document or spec or its round trip differ;
 - ``counters only``: both completed with the same result, other counters;
 - ``budget stops``: at least one of the two searches stopped on its budget;
 - ``grown``: completed searches (of any configuration, matched or not)
@@ -66,6 +71,7 @@ from __future__ import annotations
 
 import importlib
 import io
+import json
 import random
 import sys
 import types
@@ -193,10 +199,12 @@ def runs(sv, g, rule, state):
 
 
 def fingerprints(sv):
-    """(label, value) for each record, its JSONL round trip, then the report."""
-    ex, fingerprint = sv.experiments, sv.verify.record_fingerprint
+    """(label, value) for each record, its JSONL round trip, then the report;
+    then each game's graph document and each record's spec, each read back."""
+    ex, net, fingerprint = sv.experiments, sv.network, sv.verify.record_fingerprint
     records = []
-    for source, rule in sv.verify.determinism_sources():
+    sources = sv.verify.determinism_sources()
+    for source, rule in sources:
         for pruning in (True, False):
             record = ex.run_one(source, rule, use_pruning=pruning)
             label = f"record/{record.instance}/{rule.label()}/{pruning}"
@@ -210,6 +218,20 @@ def fingerprints(sv):
             yield label + "/round-trip", (fingerprint(again[0]), rewritten.getvalue() == line.getvalue())
             records.append(record)
     yield "report", ex.summary_csv(ex.summarize(records))
+    for label, g, _rule, state in games(sv):
+        if state is not None:
+            continue
+        # Every game's orders are the identity, so a twin with both moved is read back too.
+        order = list(range(g.n))
+        moved = net.ConfirmationNetwork.build(g.n, g.edges, order[::-1], order[1:] + order[:1])
+        for suffix, graph in (("", g), ("/reordered", moved)):
+            doc = net.to_json_dict(graph)
+            again = net.from_json_dict(json.loads(json.dumps(doc)))
+            yield f"graph/{label}{suffix}", (doc, again == graph)
+    for source, rule in sources:
+        desc = ex.instance_descriptor(source)
+        again = ex.source_from_descriptor(json.loads(json.dumps(desc)))
+        yield f"spec/{desc}/{rule.label()}", (desc, again == source)
 
 
 def oracles(sv):

@@ -6,7 +6,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 
-from .network import ConfirmationNetwork
+from .network import ConfirmationNetwork, is_int
 
 
 class RuleError(ValueError):
@@ -28,7 +28,7 @@ class Rule:
         if self.kind not in ("plurality", "approval", "k_approval"):
             raise RuleError(f"unknown rule kind {self.kind!r}")
         if self.kind == "k_approval":
-            if not isinstance(self.cap, int) or isinstance(self.cap, bool) or self.cap < 1:
+            if not is_int(self.cap) or self.cap < 1:
                 raise RuleError(f"k_approval needs a positive cap, got {self.cap!r}")
         elif self.cap is not None:
             raise RuleError(f"{self.kind} does not take a cap")

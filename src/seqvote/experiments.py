@@ -21,13 +21,14 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Sequence, TextIO
 
 from . import network as net
 from .balloting import Rule
 from .engine import Budget, BudgetExceededError, Solver
 from .families import InstanceSpec, RandomSpec, gen_paper_instance, gen_random
-from .network import ConfirmationNetwork
+from .network import ConfirmationNetwork, is_int, is_int_list, is_object, is_str, or_null
 
 RECORD_VERSION = 1
 RECORD_STATUSES = ("ok", "budget_exceeded", "error")
@@ -44,26 +45,40 @@ def ratio_to_json(r: Fraction | float) -> list[int] | str:
     return [frac.numerator, frac.denominator]
 
 
+def _is_ratio(value) -> bool:
+    """``"inf"`` or ``[num, den]``; no popularity ratio is negative."""
+    return value == "inf" or (
+        is_int_list(value) and len(value) == 2 and value[0] >= 0 and value[1] > 0
+    )
+
+
 def ratio_from_json(value) -> Fraction | float:
-    if value == "inf":
-        return math.inf
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, int) for v in value)
-        and value[1] > 0
-    ):
-        return Fraction(value[0], value[1])
-    raise RecordError(f"malformed ratio value {value!r}")
+    if not _is_ratio(value):
+        raise RecordError(f"malformed ratio value {value!r}")
+    return math.inf if value == "inf" else Fraction(*value)
+
+
+_RATIO = '[num, den] with num >= 0 and den > 0, or "inf"'
+
+
+def _json_field(check, description: str, *, required: bool = True, **kw):
+    """A persisted field, read back with ``check`` (see ``network.read_object``)."""
+    return field(metadata={"json": (check, description, required)}, **kw)
+
+
+@cache
+def _rows(cls) -> tuple:
+    """The ``network.read_object`` rows of a persisted dataclass, from its fields."""
+    return tuple((f.name, *f.metadata["json"]) for f in fields(cls))
 
 
 @dataclass
 class WinnerMetrics:
-    agent: int
-    popularity: int
-    top_popularity_without_own_edges: int
-    gap: int
-    ratio: Fraction | float
+    agent: int = _json_field(is_int, "an integer")
+    popularity: int = _json_field(is_int, "an integer")
+    top_popularity_without_own_edges: int = _json_field(is_int, "an integer")
+    gap: int = _json_field(is_int, "an integer")
+    ratio: Fraction | float = _json_field(_is_ratio, _RATIO)
 
     @property
     def within_factor_2(self) -> bool:
@@ -76,18 +91,17 @@ class WinnerMetrics:
 
     @classmethod
     def from_dict(cls, data: dict) -> "WinnerMetrics":
-        metrics = cls(**data)
-        metrics.ratio = ratio_from_json(metrics.ratio)
-        return metrics
+        net.read_object(data, _rows(cls), RecordError, "record", "metrics.per_winner.")
+        return cls(**{**data, "ratio": ratio_from_json(data["ratio"])})
 
 
 @dataclass
 class InstanceMetrics:
-    winners: list[int]
-    per_winner: list[WinnerMetrics]
-    instance_gap: int  # min gap over the winner set (the best winner counts)
-    r_min: Fraction | float
-    r_max: Fraction | float
+    winners: list[int] = _json_field(is_int_list, "a list of integers")
+    per_winner: list[WinnerMetrics] = _json_field(net.list_of(is_object), "a list of JSON objects")
+    instance_gap: int = _json_field(is_int, "an integer")  # min over the winners: the best counts
+    r_min: Fraction | float = _json_field(_is_ratio, _RATIO)
+    r_max: Fraction | float = _json_field(_is_ratio, _RATIO)
 
     def as_dict(self) -> dict:
         return {
@@ -99,13 +113,11 @@ class InstanceMetrics:
 
     @classmethod
     def from_dict(cls, data: dict) -> "InstanceMetrics":
-        """Raises TypeError for a missing or unknown key, here or in a winner's block."""
-        metrics = cls(**data)
-        metrics.winners = list(metrics.winners)
-        metrics.per_winner = [WinnerMetrics.from_dict(m) for m in metrics.per_winner]
-        metrics.r_min = ratio_from_json(metrics.r_min)
-        metrics.r_max = ratio_from_json(metrics.r_max)
-        return metrics
+        """A record's ``metrics`` block; raises RecordError naming the bad field."""
+        net.read_object(data, _rows(cls), RecordError, "record", "metrics.")
+        per_winner = [WinnerMetrics.from_dict(m) for m in data["per_winner"]]
+        ratios = {name: ratio_from_json(data[name]) for name in ("r_min", "r_max")}
+        return cls(**{**data, "per_winner": per_winner, **ratios})
 
 
 def instance_metrics(g: ConfirmationNetwork, winners) -> InstanceMetrics:
@@ -151,14 +163,17 @@ def verdicts(rule: Rule, metrics: InstanceMetrics) -> dict:
 
 
 # Each spec kind: its type, its builder, and its fields in descriptor order as
-# (name, types, what, required).  Each builder is looked up by name when it is
-# called, so a tracer that rebinds this module's gen_random still sees the call.
+# read_object rows.  Each builder is looked up by name when it is called, so a
+# tracer that rebinds this module's gen_random still sees the call.
 _SPEC_FIELDS = {
     "catalog": (InstanceSpec, lambda spec: gen_paper_instance(spec),
-                (("name", str, "a string", True), ("k", int, "an integer", False))),
+                (("name", is_str, "a string", True),
+                 ("k", or_null(is_int), "an integer or null", False))),
     "random": (RandomSpec, lambda spec: gen_random(spec),
-               (("n", int, "an integer", True), ("p", (int, float), "a number", True),
-                ("seed", int, "an integer", True), ("max_out", int, "an integer", False))),
+               (("n", is_int, "an integer", True),
+                ("p", net.json_type(int, float), "a number", True),
+                ("seed", is_int, "an integer", True),
+                ("max_out", or_null(is_int), "an integer or null", False))),
 }
 _SPEC_KIND = {spec_type: kind for kind, (spec_type, _, _) in _SPEC_FIELDS.items()}
 
@@ -190,38 +205,30 @@ def resolve_instance(source) -> ConfirmationNetwork:
 
 
 def source_from_descriptor(desc: dict):
-    if not isinstance(desc, dict):
-        raise RecordError(f"instance spec must be a JSON object, got {desc!r:.80}")
-    kind = desc.get("kind")
-    if not isinstance(kind, str) or kind not in _SPEC_FIELDS:
-        raise RecordError(f"cannot regenerate instance of kind {kind!r:.80}")
+    kind = desc.get("kind") if is_object(desc) else None
+    if not is_str(kind) or kind not in _SPEC_FIELDS:
+        kinds = " or ".join(_SPEC_FIELDS)
+        raise RecordError(f"instance spec must be a JSON object of kind {kinds}, got {desc!r:.80}")
     make, _, spec_fields = _SPEC_FIELDS[kind]
-    unknown = desc.keys() - {"kind", *(name for name, *_ in spec_fields)}
-    if unknown:
-        raise RecordError(f"instance spec has unknown field {min(unknown)!r:.80}")
-    args = {}
-    for name, types, what, required in spec_fields:
-        if required and name not in desc:
-            raise RecordError(f"instance spec is missing field {name!r}")
-        value = desc.get(name)
-        wrong = not isinstance(value, types) or isinstance(value, bool)  # bools are ints
-        if wrong and (required or value is not None):  # an optional field may be null
-            raise RecordError(f"instance spec field {name!r} must be {what}, got {value!r:.80}")
-        args[name] = value
-    return make(**args)
+    rows = (("kind", is_str, "a string", True), *spec_fields)
+    net.read_object(desc, rows, RecordError, "instance spec")
+    return make(**{name: value for name, value in desc.items() if name != "kind"})
 
 
 @dataclass
 class RunRecord:
-    instance: dict
-    graph: dict
-    rule: dict
-    status: str  # one of RECORD_STATUSES
-    metrics: InstanceMetrics | None
-    verdicts: dict
-    stats: dict
-    error: str | None = None
-    v: int = RECORD_VERSION
+    instance: dict = _json_field(is_object, "a JSON object")
+    graph: dict = _json_field(is_object, "a JSON object")
+    rule: dict = _json_field(is_object, "a JSON object")
+    status: str = _json_field(RECORD_STATUSES.__contains__, f"one of {', '.join(RECORD_STATUSES)}")
+    metrics: InstanceMetrics | None = _json_field(
+        or_null(is_object), "a JSON object or null", required=False)
+    verdicts: dict = _json_field(is_object, "a JSON object")
+    stats: dict = _json_field(is_object, "a JSON object")
+    error: str | None = _json_field(
+        or_null(is_str), "a string or null", required=False, default=None)
+    v: int = _json_field(lambda v: is_int(v) and v == RECORD_VERSION,
+                         f"the integer {RECORD_VERSION}", default=RECORD_VERSION)
 
     def as_dict(self) -> dict:
         metrics = self.metrics.as_dict() if self.metrics is not None else None
@@ -229,52 +236,28 @@ class RunRecord:
 
     @staticmethod
     def from_dict(data: dict) -> "RunRecord":
-        if not isinstance(data, dict) or data.get("v") != RECORD_VERSION:
-            raise RecordError(f"unsupported record version in {data!r:.80}")
-        unknown = data.keys() - {f.name for f in fields(RunRecord)}
-        if unknown:
-            raise RecordError(f"record has unknown field {min(unknown)!r:.80}")
-        metrics = None
-        if data.get("metrics") is not None:
+        net.read_object(data, _rows(RunRecord), RecordError, "record")
+        metrics = data.get("metrics")
+        if (data["status"] == "ok") != (metrics is not None):  # as run_one writes them
+            raise RecordError(f"record field 'metrics' must be an object when 'status' is ok "
+                              f"and null otherwise, got {metrics!r:.40} with {data['status']!r}")
+        if metrics is not None:
             try:
-                metrics = InstanceMetrics.from_dict(data["metrics"])
-            except TypeError as exc:
+                metrics = InstanceMetrics.from_dict(metrics)
+            except RecordError as exc:
                 raise RecordError(f"malformed metrics block: {exc}") from exc
-            gap = metrics.instance_gap
-            if isinstance(gap, bool) or not isinstance(gap, int):
-                raise RecordError("record field 'metrics.instance_gap' must be an integer")
-        for name in ("graph", "verdicts", "stats"):
-            if not isinstance(data.get(name, {}), dict):
-                raise RecordError(f"record field {name!r} must be a JSON object")
-        if data.get("instance", {"kind": "graph"}) != {"kind": "graph"}:  # a graph has no spec
+        if data["instance"] != {"kind": "graph"}:  # a graph has no spec
             try:
                 source_from_descriptor(data["instance"])
             except RecordError as exc:
                 raise RecordError(f"record field 'instance': {exc}") from exc
-        if "status" in data and data["status"] not in RECORD_STATUSES:
-            raise RecordError(
-                f"record field 'status' must be one of {', '.join(RECORD_STATUSES)}, "
-                f"got {data['status']!r:.40}"
-            )
-        for name, ok in data.get("verdicts", {}).items():
+        for name, ok in data["verdicts"].items():
             if not isinstance(ok, bool):
                 raise RecordError(f"record field 'verdicts.{name}' must be true or false")
-        wall = data.get("stats", {}).get("wall_seconds", 0.0)  # not a bool, NaN or past a float
+        wall = data["stats"].get("wall_seconds", 0.0)  # not a bool, NaN or past a float
         if type(wall) not in (int, float) or not 0 <= wall <= sys.float_info.max:
             raise RecordError("record field 'stats.wall_seconds' must be a finite number >= 0")
-        try:
-            return RunRecord(
-                instance=data["instance"],
-                graph=data["graph"],
-                rule=data["rule"],
-                status=data["status"],
-                metrics=metrics,
-                verdicts=data["verdicts"],
-                stats=data["stats"],
-                error=data.get("error"),
-            )
-        except KeyError as exc:
-            raise RecordError(f"record is missing field {exc}") from exc
+        return RunRecord(**{**data, "metrics": metrics})
 
 
 def rule_to_dict(rule: Rule) -> dict:
@@ -284,8 +267,15 @@ def rule_to_dict(rule: Rule) -> dict:
     return d
 
 
+_RULE_FIELDS = (
+    ("kind", is_str, "a string", True),
+    ("cap", or_null(lambda v: is_int(v) and v >= 1), "a positive cap or null", False),
+)
+
+
 def rule_from_dict(data: dict) -> Rule:
-    return Rule(data["kind"], data.get("cap"))
+    net.read_object(data, _RULE_FIELDS, RecordError, "rule block")
+    return Rule(**data)
 
 
 def run_one(
@@ -381,14 +371,12 @@ def summarize(records: Sequence[RunRecord]) -> list[RuleSummary]:
     timing percentiles."""
     by_rule: dict[str, list[RunRecord]] = {}
     for record in records:
-        if not isinstance(record.rule, dict) or "kind" not in record.rule:
-            raise RecordError(f"malformed rule block {record.rule!r}")
         label = rule_from_dict(record.rule).label()
         by_rule.setdefault(label, []).append(record)
     summaries = []
     for label in sorted(by_rule):
         group = by_rule[label]
-        solved = [r for r in group if r.status == "ok" and r.metrics is not None]
+        solved = [r for r in group if r.status == "ok"]
         ratios = [r.metrics.r_max for r in solved]
         histogram = Counter(r.metrics.instance_gap for r in solved)
         violations = sum(not ok for r in solved for ok in r.verdicts.values())

@@ -155,11 +155,54 @@ def popularity_ratio(top: int, d_w: int) -> Fraction | float:
     return Fraction(top, d_w)
 
 
-# -- JSON graph format ------------------------------------------------------
-#
-# {"n": int, "edges": [[src, dst], ...],
-#  "voting_order": [int, ...] (optional), "tiebreak_order": [int, ...] (optional),
-#  "names": [str, ...] (optional)}
+# -- JSON objects, and the graph format -------------------------------------
+
+
+def json_type(*types):
+    """A check that a value's type is one of ``types``; in JSON a bool is no int."""
+    return lambda value: type(value) in types
+
+
+def list_of(check):
+    return lambda value: type(value) is list and all(map(check, value))
+
+
+def or_null(check):
+    return lambda value: value is None or check(value)
+
+
+is_int, is_str, is_object = json_type(int), json_type(str), json_type(dict)
+is_int_list = list_of(is_int)
+
+
+def read_object(data, rows, error: type[ValueError], what: str, prefix: str = "") -> None:
+    """Check ``data`` against ``rows`` of ``(name, check, description, required)``:
+    raise ``error`` naming ``what`` and the field (``prefix + name``) for a non-object,
+    a missing required field, a value ``check`` rejects, or a field no row names."""
+    if not is_object(data):
+        raise error(f"{what} must be a JSON object, got {data!r:.80}")
+    for name, check, description, required in rows:
+        if name in data:
+            if not check(data[name]):
+                raise error(f"{what} field {prefix + name!r} must be {description}, "
+                            f"got {data[name]!r:.80}")
+        elif required:
+            raise error(f"{what} is missing field {prefix + name!r}")
+    unknown = data.keys() - {row[0] for row in rows}
+    if unknown:
+        raise error(f"{what} has unknown field {prefix + min(unknown)!r:.80}")
+
+
+# A graph document, one row per field.  An absent "edges" is [] and an absent
+# order the identity; only "names" may be null.
+_GRAPH_FIELDS = (
+    ("n", is_int, "an integer", True),
+    ("edges", list_of(lambda e: is_int_list(e) and len(e) == 2), "a list of [src, dst] pairs",
+     False),
+    ("voting_order", is_int_list, "a list of integers", False),
+    ("tiebreak_order", is_int_list, "a list of integers", False),
+    ("names", or_null(list_of(is_str)), "a list of strings or null", False),
+)
 
 
 def to_json_dict(g: ConfirmationNetwork) -> dict:
@@ -179,43 +222,8 @@ def serialize(g: ConfirmationNetwork) -> str:
 
 
 def from_json_dict(data: dict) -> ConfirmationNetwork:
-    if not isinstance(data, dict):
-        raise NetworkError(f"graph document must be a JSON object, got {type(data).__name__}")
-    if "n" not in data:
-        raise NetworkError('graph document is missing required field "n"')
-    n = data["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise NetworkError(f'"n" must be an integer, got {n!r}')
-    raw_edges = data.get("edges", [])
-    if not isinstance(raw_edges, list):
-        raise NetworkError('"edges" must be a list of [src, dst] pairs')
-    edges = []
-    for item in raw_edges:
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in item)
-        ):
-            raise NetworkError(f"malformed edge entry {item!r}; expected [src, dst]")
-        edges.append((item[0], item[1]))
-    for key in ("voting_order", "tiebreak_order"):
-        if key in data and not (
-            isinstance(data[key], list)
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in data[key])
-        ):
-            raise NetworkError(f'"{key}" must be a list of integers')
-    names = data.get("names")
-    if names is not None and not (
-        isinstance(names, list) and all(isinstance(v, str) for v in names)
-    ):
-        raise NetworkError('"names" must be a list of strings')
-    return ConfirmationNetwork.build(
-        n=n,
-        edges=edges,
-        voting_order=data.get("voting_order"),
-        tiebreak_order=data.get("tiebreak_order"),
-        names=names,
-    )
+    read_object(data, _GRAPH_FIELDS, NetworkError, "graph document")
+    return ConfirmationNetwork.build(**{"edges": [], **data})  # the fields are build's arguments
 
 
 def parse(text: str) -> ConfirmationNetwork:

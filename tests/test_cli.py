@@ -261,6 +261,31 @@ def test_metrics_bad_spec_line_exits_1(tmp_path):
          "instance spec has unknown field 'K'"),
         ("report", lambda doc: {**doc, "instance": {"kind": "bogus"}}, "'instance'"),
         ("report", lambda doc: {**doc, "graph": "x"}, "'graph'"),
+        ("report", lambda doc: {**doc, "metrics": {**doc["metrics"], "r_max": [-1, 1]}},
+         "'metrics.r_max'"),
+        ("report", lambda doc: {**doc, "metrics": None}, "'metrics'"),
+        ("report", lambda doc: {**doc, "status": "error"}, "'metrics'"),
+        ("report", lambda doc: {**doc, "metrics": {**doc["metrics"], "winners": "12"}},
+         "'metrics.winners'"),
+        ("report", lambda doc: {**doc, "metrics": {
+            **doc["metrics"], "per_winner": [{**doc["metrics"]["per_winner"][0], "gap": "0"}]}},
+         "'metrics.per_winner.gap'"),
+        ("report", lambda doc: {**doc, "rule": {"kind": "approval", "k": 2}},
+         "rule block has unknown field 'k'"),
+        ("report", lambda doc: {**doc, "rule": {**doc["rule"], "note": "x"}},
+         "rule block has unknown field 'note'"),
+        ("report", lambda doc: {**doc, "v": True}, "'v'"),
+        ("report", lambda doc: {**doc, "error": 5}, "'error'"),
+        ("solve", lambda doc: {"n": 3, "edgs": [[0, 1]]},
+         "graph document has unknown field 'edgs'"),
+        ("solve", lambda doc: {"n": 3, "edges": [[0, 1]], "voting_orders": [2, 1, 0]},
+         "graph document has unknown field 'voting_orders'"),
+        ("solve", lambda doc: {**doc, "edges": None}, "must be a list of [src, dst] pairs"),
+        ("solve", lambda doc: {**doc, "voting_order": None}, "must be a list of integers"),
+        ("solve", lambda doc: {**doc, "n": True}, "must be an integer, got True"),
+        ("solve", lambda doc: {**doc, "edges": [[True, 0]]}, "[src, dst]"),
+        ("solve", lambda doc: {**doc, "names": ["1", 2, "3", "4"]}, "must be a list of strings"),
+        ("solve", lambda doc: [1, 2], "graph document must be a JSON object"),
     ],
     ids=[
         "spec-not-an-object",
@@ -291,17 +316,37 @@ def test_metrics_bad_spec_line_exits_1(tmp_path):
         "instance-unknown-field",
         "instance-unknown-kind",
         "graph-not-an-object",
+        "ratio-negative",
+        "status-ok-without-metrics",
+        "status-error-with-metrics",
+        "winners-a-string",
+        "winner-gap-a-string",
+        "rule-k-for-cap",
+        "rule-unknown-field",
+        "version-a-bool",
+        "error-not-a-string",
+        "graph-doc-unknown-field",
+        "graph-doc-voting-orders",
+        "graph-doc-edges-null",
+        "graph-doc-voting-order-null",
+        "graph-doc-n-a-bool",
+        "graph-doc-edge-a-bool",
+        "graph-doc-name-not-a-string",
+        "graph-doc-not-an-object",
     ],
 )
 def test_malformed_input_line_exits_1_without_traceback(tmp_path, command, edit, field):
-    """Each line is JSON that a well-formed record (or spec) line could be
-    edited into; it must be rejected where it is parsed, and a record's error
-    names the field at fault."""
-    doc = run_one(InstanceSpec("example2"), PLURALITY).as_dict()
+    """Each input is JSON that a well-formed record (or spec) line, or graph
+    document for ``solve``, could be edited into; it must be rejected where it
+    is read, and the error names the field at fault."""
+    if command == "solve":
+        doc = network.to_json_dict(gen_paper_instance(InstanceSpec("example2")))
+    else:
+        doc = run_one(InstanceSpec("example2"), PLURALITY).as_dict()
     path = tmp_path / "in.jsonl"
     path.write_text(json.dumps(edit(doc)) + "\n")
-    args = [command, "--in", str(path)]
-    if command == "metrics":
+    args = [command, "--graph" if command == "solve" else "--in", str(path)]
+    if command != "report":
         args += ["--rule", "plurality"]
     result = run_cli(*args)
     assert result.returncode == 1

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from seqvote import network
 from seqvote.balloting import APPROVAL, PLURALITY, k_approval
 from seqvote.engine import Budget
 from seqvote.experiments import (
@@ -127,6 +128,25 @@ def test_source_descriptor_round_trip():
     ):
         desc = json.loads(json.dumps(instance_descriptor(source)))
         assert source_from_descriptor(desc) == source
+
+
+def test_readers_accept_null_where_each_format_allows_it():
+    """A graph's ``names``, a spec's ``k`` and ``max_out``, a rule's ``cap``
+    and a record's ``metrics`` and ``error`` may be null; each reads as absent."""
+    doc = network.to_json_dict(gen_paper_instance(InstanceSpec("example2")))
+    assert network.from_json_dict({**doc, "names": None}).names is None
+    assert source_from_descriptor({"kind": "catalog", "name": "example1", "k": None}) == (
+        InstanceSpec("example1")
+    )
+    spec = {"kind": "random", "n": 4, "p": 0.5, "seed": 1, "max_out": None}
+    assert source_from_descriptor(spec) == RandomSpec(4, 0.5, None, 1)
+    assert rule_from_dict({"kind": "plurality", "cap": None}) == PLURALITY
+    failed = run_one(InstanceSpec("mystery"), PLURALITY).as_dict()
+    assert failed["metrics"] is None
+    record = RunRecord.from_dict({**failed, "error": None})
+    assert record.metrics is None and record.error is None
+    absent = {name: value for name, value in failed.items() if name not in ("metrics", "error")}
+    assert RunRecord.from_dict(absent).as_dict() == record.as_dict()
 
 
 def test_summarize_and_csv():
