@@ -25,7 +25,10 @@ of games.  Each game and configuration gives one comparison of:
   same graph or spec;
 - the winner set of ``naive_achievable_winners`` (or its ``NaiveSizeError``
   message) on the 300 ``oracle_specs()`` games, on every digraph with n <= 3
-  under three rules, and on the ``LARGE`` games, whose trees pass its limit.
+  under three rules, and on the ``LARGE`` games, whose trees pass its limit;
+- each tree's set-only winner set against perfbench's independent
+  ``checker.brute_force_winners``, on every game searched from its root whose
+  tree fits the checker's ``LEAF_LIMIT`` (``reference`` in the tally).
 
 The games are the 300 ``oracle_specs()`` games, each also from a mid-game
 state, the first 150 ``plurality_bound_specs()`` games, 150 seeded random
@@ -45,8 +48,8 @@ a search meets a smaller tree.  The mismatches are also split by kind, so
 those do not hide a moved result:
 
 - ``results``: both searches completed and their winner sets, policy
-  winners or paths differ, or the two oracles give different winner sets or
-  size errors;
+  winners or paths differ, the two oracles give different winner sets or
+  size errors, or a tree's set-only winner set is not the brute force's;
 - ``fingerprints``: run-record fingerprints, their JSONL round trip, the
   report CSV, or a graph document or spec or its round trip differ;
 - ``counters only``: both completed with the same result, other counters;
@@ -95,6 +98,19 @@ LARGE = [
     (11, 0.1, 7515, "2-approval"),
     (12, 0.05, 7517, "2-approval"),
 ]
+
+
+def load_checker():
+    """perfbench's checker, imported as the tests import it."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    return importlib.import_module("checker")
+
+
+def reference(checker, sv, g, rule) -> list[int] | None:
+    """The checker's brute-force winner set of ``g``, or None past its leaf limit."""
+    winners = checker.brute_force_winners(
+        checker.Graph(sv.network.to_json_dict(g)), rule.ballot_cap(g.n))
+    return None if winners is None else sorted(winners)
 
 
 def load(tree: Path, name: str) -> types.SimpleNamespace:
@@ -258,7 +274,7 @@ def oracles(sv):
 
 def kind(config: str, a: tuple, b: tuple) -> str:
     """The kind of a mismatch between outcomes ``a`` (old) and ``b`` (new)."""
-    if config == "oracle":
+    if config in ("oracle", "reference"):
         return "results"
     if config == "record":
         return "fingerprints"
@@ -274,15 +290,23 @@ def main(argv: list[str]) -> int:
     old_tree = Path(argv[1]).resolve()
     new_tree = Path(argv[2]).resolve() if len(argv) == 3 else Path(__file__).resolve().parents[1]
     old, new = load(old_tree, "seqvote_old"), load(new_tree, "seqvote_new")
+    checker = load_checker()
     comparisons = completed = grown = 0
     size = {"old": [0, 0], "new": [0, 0]}  # summed nodes and cache_size of completed searches
     mismatches = []
     for (label, g_old, rule_old, state_old), (_, g_new, rule_new, state_new) in zip(
         games(old), games(new)
     ):
+        brute = reference(checker, new, g_new, rule_new) if state_new is None else None
         for (config, a), (_, b) in zip(
             runs(old, g_old, rule_old, state_old), runs(new, g_new, rule_new, state_new)
         ):
+            if config == "pruning/set" and brute is not None:
+                for tree, result in (("old", a), ("new", b)):
+                    comparisons += 1
+                    if result[:2] != ("ok", (brute,)):
+                        mismatches.append((f"{label}/{tree}/reference", "reference",
+                                           result[:2], ("ok", (brute,))))
             comparisons += 1
             if a[0] == b[0] == "ok":
                 completed += 1

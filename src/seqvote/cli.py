@@ -23,8 +23,8 @@ from .engine import (
     Solver,
 )
 from .experiments import (
-    RecordError,
     instance_metrics,
+    read_jsonl,
     read_records,
     run_batch,
     source_from_descriptor,
@@ -152,14 +152,8 @@ def metrics(in_path, rule_name, k, max_nodes, max_seconds, out):
             except ValueError as exc:
                 raise click.UsageError(f"{f}: {exc}")
     elif path.is_file():
-        for line_no, line in enumerate(path.read_text().splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                sources.append(source_from_descriptor(json.loads(line)))
-            except (json.JSONDecodeError, RecordError) as exc:
-                raise click.UsageError(f"{in_path}:{line_no}: {exc}")
+        with open(in_path) as fh:
+            sources = read_jsonl(fh, source_from_descriptor)
     else:
         raise click.UsageError(f"--in path {in_path} does not exist")
     records = run_batch(sources, rule, budget=budget)

@@ -7,7 +7,9 @@ serialized graph) and are written as JSONL, one object per line, with a
 schema version field ``v``.  Ratios are stored as exact ``[num, den]`` pairs
 ("inf" for the zero-denominator convention); floats appear only in human
 summaries.  Everything except the ``stats`` block is deterministic for a
-given instance and rule.
+given instance and rule.  A record is read back by rebuilding it: its
+``metrics`` and ``verdicts`` must equal, as JSON, what ``instance_metrics``
+and ``verdicts`` give for its graph, rule and winners, so each is defined once.
 """
 
 from __future__ import annotations
@@ -45,22 +47,6 @@ def ratio_to_json(r: Fraction | float) -> list[int] | str:
     return [frac.numerator, frac.denominator]
 
 
-def _is_ratio(value) -> bool:
-    """``"inf"`` or ``[num, den]``; no popularity ratio is negative."""
-    return value == "inf" or (
-        is_int_list(value) and len(value) == 2 and value[0] >= 0 and value[1] > 0
-    )
-
-
-def ratio_from_json(value) -> Fraction | float:
-    if not _is_ratio(value):
-        raise RecordError(f"malformed ratio value {value!r}")
-    return math.inf if value == "inf" else Fraction(*value)
-
-
-_RATIO = '[num, den] with num >= 0 and den > 0, or "inf"'
-
-
 def _json_field(check, description: str, *, required: bool = True, **kw):
     """A persisted field, read back with ``check`` (see ``network.read_object``)."""
     return field(metadata={"json": (check, description, required)}, **kw)
@@ -74,11 +60,11 @@ def _rows(cls) -> tuple:
 
 @dataclass
 class WinnerMetrics:
-    agent: int = _json_field(is_int, "an integer")
-    popularity: int = _json_field(is_int, "an integer")
-    top_popularity_without_own_edges: int = _json_field(is_int, "an integer")
-    gap: int = _json_field(is_int, "an integer")
-    ratio: Fraction | float = _json_field(_is_ratio, _RATIO)
+    agent: int
+    popularity: int
+    top_popularity_without_own_edges: int
+    gap: int
+    ratio: Fraction | float
 
     @property
     def within_factor_2(self) -> bool:
@@ -89,35 +75,18 @@ class WinnerMetrics:
     def as_dict(self) -> dict:
         return {**vars(self), "ratio": ratio_to_json(self.ratio)}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "WinnerMetrics":
-        net.read_object(data, _rows(cls), RecordError, "record", "metrics.per_winner.")
-        return cls(**{**data, "ratio": ratio_from_json(data["ratio"])})
-
 
 @dataclass
 class InstanceMetrics:
-    winners: list[int] = _json_field(is_int_list, "a list of integers")
-    per_winner: list[WinnerMetrics] = _json_field(net.list_of(is_object), "a list of JSON objects")
-    instance_gap: int = _json_field(is_int, "an integer")  # min over the winners: the best counts
-    r_min: Fraction | float = _json_field(_is_ratio, _RATIO)
-    r_max: Fraction | float = _json_field(_is_ratio, _RATIO)
+    winners: list[int]
+    per_winner: list[WinnerMetrics]
+    instance_gap: int  # min over the winners: the best counts
+    r_min: Fraction | float
+    r_max: Fraction | float
 
     def as_dict(self) -> dict:
-        return {
-            **vars(self),
-            "per_winner": [m.as_dict() for m in self.per_winner],
-            "r_min": ratio_to_json(self.r_min),
-            "r_max": ratio_to_json(self.r_max),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "InstanceMetrics":
-        """A record's ``metrics`` block; raises RecordError naming the bad field."""
-        net.read_object(data, _rows(cls), RecordError, "record", "metrics.")
-        per_winner = [WinnerMetrics.from_dict(m) for m in data["per_winner"]]
-        ratios = {name: ratio_from_json(data[name]) for name in ("r_min", "r_max")}
-        return cls(**{**data, "per_winner": per_winner, **ratios})
+        ratios = {name: ratio_to_json(getattr(self, name)) for name in ("r_min", "r_max")}
+        return {**vars(self), "per_winner": [m.as_dict() for m in self.per_winner], **ratios}
 
 
 def instance_metrics(g: ConfirmationNetwork, winners) -> InstanceMetrics:
@@ -236,28 +205,57 @@ class RunRecord:
 
     @staticmethod
     def from_dict(data: dict) -> "RunRecord":
+        """The record rebuilt from its graph, rule and winners, or a RecordError
+        naming its first field that is not what those give."""
         net.read_object(data, _rows(RunRecord), RecordError, "record")
-        metrics = data.get("metrics")
-        if (data["status"] == "ok") != (metrics is not None):  # as run_one writes them
+        status, metrics = data["status"], data.get("metrics")
+        if (status == "ok") != (metrics is not None):  # as run_one writes them
             raise RecordError(f"record field 'metrics' must be an object when 'status' is ok "
-                              f"and null otherwise, got {metrics!r:.40} with {data['status']!r}")
-        if metrics is not None:
-            try:
-                metrics = InstanceMetrics.from_dict(metrics)
-            except RecordError as exc:
-                raise RecordError(f"malformed metrics block: {exc}") from exc
+                              f"and null otherwise, got {metrics!r:.40} with {status!r}")
         if data["instance"] != {"kind": "graph"}:  # a graph has no spec
             try:
                 source_from_descriptor(data["instance"])
             except RecordError as exc:
                 raise RecordError(f"record field 'instance': {exc}") from exc
-        for name, ok in data["verdicts"].items():
-            if not isinstance(ok, bool):
-                raise RecordError(f"record field 'verdicts.{name}' must be true or false")
         wall = data["stats"].get("wall_seconds", 0.0)  # not a bool, NaN or past a float
         if type(wall) not in (int, float) or not 0 <= wall <= sys.float_info.max:
             raise RecordError("record field 'stats.wall_seconds' must be a finite number >= 0")
+        rule = rule_from_dict(data["rule"])
+        if status != "error" or data["graph"]:  # only a failed build leaves no graph
+            g = net.from_json_dict(data["graph"])  # a NetworkError names the graph document
+        rebuilt = {"metrics": None, "verdicts": {}}
+        if metrics is not None:
+            winners = metrics.get("winners")
+            if not (is_int_list(winners) and winners and winners == sorted(set(winners))
+                    and 0 <= winners[0] and winners[-1] < g.n):
+                raise RecordError(f"malformed metrics block: record field 'metrics.winners' "
+                                  f"must be distinct agents of 0..{g.n - 1} in order, "
+                                  f"got {winners!r:.80}")
+            metrics = instance_metrics(g, winners)
+            rebuilt = {"metrics": metrics.as_dict(), "verdicts": verdicts(rule, metrics)}
+        for name, block in rebuilt.items():
+            if (path := _first_difference(data.get(name), block, name)) is not None:
+                prefix = "malformed metrics block: " if name == "metrics" else ""
+                raise RecordError(f"{prefix}record field {path!r} is not what its graph, "
+                                  f"rule and winners give")
         return RunRecord(**{**data, "metrics": metrics})
+
+
+def _first_difference(stored, rebuilt, path: str) -> str | None:
+    """Where two JSON values first differ, as a dotted path, or None.  Keys are
+    visited in sorted order across both; an absent key reads as null, so a null
+    key the other side lacks is reported at ``path``.  Compared as JSON, so
+    ``true`` is not ``1``."""
+    if json.dumps(stored, sort_keys=True) == json.dumps(rebuilt, sort_keys=True):
+        return None
+    children = []
+    if is_object(stored) and is_object(rebuilt):
+        keys = sorted(stored.keys() | rebuilt.keys())
+        children = [(stored.get(k), rebuilt.get(k), f"{path}.{k}") for k in keys]
+    elif type(stored) is list and type(rebuilt) is list and len(stored) == len(rebuilt):
+        children = [(a, b, path) for a, b in zip(stored, rebuilt)]  # items share their list's path
+    found = (_first_difference(*child) for child in children)
+    return next((p for p in found if p is not None), path)
 
 
 def rule_to_dict(rule: Rule) -> dict:
@@ -325,18 +323,24 @@ def write_records(records: Iterable[RunRecord], fh: TextIO) -> None:
         fh.write(json.dumps(record.as_dict(), sort_keys=True) + "\n")
 
 
-def read_records(fh: TextIO) -> list[RunRecord]:
-    records = []
+def read_jsonl(fh: TextIO, read) -> list:
+    """``read`` of each non-blank line's JSON; a line that is not JSON or that
+    ``read`` rejects raises RecordError naming ``<file>:<line>:``."""
+    where = getattr(fh, "name", "<stream>")
+    items = []
     for line_no, line in enumerate(fh, start=1):
-        line = line.strip()
-        if not line:
-            continue
         try:
-            data = json.loads(line)
+            if line.strip():
+                items.append(read(json.loads(line)))
         except json.JSONDecodeError as exc:
-            raise RecordError(f"line {line_no}: invalid JSON: {exc}") from exc
-        records.append(RunRecord.from_dict(data))
-    return records
+            raise RecordError(f"{where}:{line_no}: invalid JSON: {exc}") from exc
+        except ValueError as exc:  # a RecordError, NetworkError or RuleError
+            raise RecordError(f"{where}:{line_no}: {exc}") from exc
+    return items
+
+
+def read_records(fh: TextIO) -> list[RunRecord]:
+    return read_jsonl(fh, RunRecord.from_dict)
 
 
 def _ratio_cell(ratio: Fraction | float | None) -> str:

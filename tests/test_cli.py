@@ -15,9 +15,9 @@ import pytest
 from click.testing import CliRunner
 
 from seqvote import cli, network, verify
-from seqvote.balloting import PLURALITY
+from seqvote.balloting import APPROVAL, PLURALITY
 from seqvote.engine import Policy, Solver
-from seqvote.experiments import run_one
+from seqvote.experiments import instance_metrics, run_one, verdicts
 from seqvote.families import InstanceSpec, gen_paper_instance
 
 CMD = [sys.executable, "-m", "seqvote.cli"]
@@ -286,6 +286,23 @@ def test_metrics_bad_spec_line_exits_1(tmp_path):
         ("solve", lambda doc: {**doc, "edges": [[True, 0]]}, "[src, dst]"),
         ("solve", lambda doc: {**doc, "names": ["1", 2, "3", "4"]}, "must be a list of strings"),
         ("solve", lambda doc: [1, 2], "graph document must be a JSON object"),
+        ("report", lambda doc: {**doc, "metrics": {**doc["metrics"], "r_max": [99, 1]}},
+         "'metrics.r_max'"),
+        ("report", lambda doc: {**doc, "graph": {"edgs": 1}},
+         "graph document is missing field 'n'"),
+        ("report", lambda doc: {**doc, "metrics": {**doc["metrics"], "winners": [0]}},
+         "malformed metrics block"),
+        ("report", lambda doc: {**doc, "metrics": {
+            **doc["metrics"], "per_winner": [{**doc["metrics"]["per_winner"][0], "ratio": [2, 2]}]}},
+         "'metrics.per_winner.ratio'"),
+        ("report", lambda doc: {**doc, "verdicts": {**doc["verdicts"], "gaps_nonnegative": False}},
+         "'verdicts.gaps_nonnegative'"),
+        ("report", lambda doc: {**doc, "metrics": {**doc["metrics"], "winners": []}},
+         "'metrics.winners'"),
+        ("report", lambda doc: {**doc, "metrics": {**doc["metrics"], "winners": [2, 2]}},
+         "'metrics.winners'"),
+        ("report", lambda doc: {**doc, "metrics": {**doc["metrics"], "winners": [9]}},
+         "'metrics.winners'"),
     ],
     ids=[
         "spec-not-an-object",
@@ -333,6 +350,14 @@ def test_metrics_bad_spec_line_exits_1(tmp_path):
         "graph-doc-edge-a-bool",
         "graph-doc-name-not-a-string",
         "graph-doc-not-an-object",
+        "r-max-not-the-winners-ratio",
+        "record-graph-not-a-graph-document",
+        "winners-not-the-per-winner-agents",
+        "winner-ratio-not-its-popularities",
+        "verdict-flipped",
+        "winners-empty",
+        "winners-repeated",
+        "winners-not-an-agent",
     ],
 )
 def test_malformed_input_line_exits_1_without_traceback(tmp_path, command, edit, field):
@@ -354,6 +379,37 @@ def test_malformed_input_line_exits_1_without_traceback(tmp_path, command, edit,
     assert "Traceback" not in result.stderr
     if field is not None:
         assert field in result.stderr, result.stderr
+
+
+def test_report_names_the_line_of_a_rejected_record(tmp_path):
+    doc = run_one(InstanceSpec("example2"), PLURALITY).as_dict()
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(doc) + "\n" + json.dumps({**doc, "v": 2}) + "\n")
+    result = run_cli("report", "--in", str(path))
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: {path}:2: record field 'v'"), result.stderr
+    assert result.stdout == ""
+
+
+def test_report_exits_3_on_a_record_whose_rebuilt_verdicts_fail(tmp_path):
+    """A record electing agent 0 of example2 under approval, whose metrics and
+    verdicts are what its graph, rule and winners give, breaks the factor-2
+    bound: ``report`` reads it and exits 3.  The same record with its failing
+    verdict edited to pass is not what it claims to be, and exits 1."""
+    doc = run_one(InstanceSpec("example2"), APPROVAL).as_dict()
+    metrics = instance_metrics(gen_paper_instance(InstanceSpec("example2")), [0])
+    doc = {**doc, "metrics": metrics.as_dict(), "verdicts": verdicts(APPROVAL, metrics)}
+    assert doc["verdicts"]["every_winner_within_2d"] is False
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(doc) + "\n")
+    result = run_cli("report", "--in", str(path))
+    assert result.returncode == 3, result.stderr
+    assert "invariant violations" in result.stderr
+    assert result.stdout.startswith("rule,records,solved")
+    path.write_text(json.dumps({**doc, "verdicts": {**doc["verdicts"], "every_winner_within_2d": True}}))
+    result = run_cli("report", "--in", str(path))
+    assert result.returncode == 1
+    assert "'verdicts.every_winner_within_2d'" in result.stderr, result.stderr
 
 
 def test_k_approval_requires_k(tmp_path):
