@@ -28,7 +28,13 @@ of games.  Each game and configuration gives one comparison of:
   under three rules, and on the ``LARGE`` games, whose trees pass its limit;
 - each tree's set-only winner set against perfbench's independent
   ``checker.brute_force_winners``, on every game searched from its root whose
-  tree fits the checker's ``LEAF_LIMIT`` (``reference`` in the tally).
+  tree fits the checker's ``LEAF_LIMIT`` (``reference`` in the tally);
+- the exit code and stdout, wall times masked, of ``python -B -m
+  seqvote.cli`` run in a subprocess with ``PYTHONPATH=<tree>/src`` over
+  ``CLI_RUNS``: ``solve`` on ``example2`` and ``g_k(2)`` and ``metrics`` over
+  both under plurality, approval and 2-approval, ``report`` over those
+  records, ``metrics`` over a spec file, and four invalid rule or budget
+  options (``cli`` in the tally).  Stderr is not compared.
 
 The games are the 300 ``oracle_specs()`` games, each also from a mid-game
 state, the first 150 ``plurality_bound_specs()`` games, 150 seeded random
@@ -39,8 +45,8 @@ workload and ``plurality_chain(5)`` and ``(6)`` (n = 14 and 17).  Each of
 the larger games takes under a second per search.  It prints
 ``comparisons N, mismatches M`` with the first mismatches, the gravest kind
 first (see below), and a tally of all of them by configuration label
-(``no-pruning/set/budget 69``, ``record`` for fingerprints and ``oracle``
-for the reference oracle).
+(``no-pruning/set/budget 69``, ``record`` for fingerprints, ``oracle``
+for the reference oracle and ``cli`` for the commands).
 
 The budget stops sit at a third of each tree's own node count, so a change
 that shrinks the tree moves every one of them, and counters move wherever
@@ -51,7 +57,8 @@ those do not hide a moved result:
   winners or paths differ, the two oracles give different winner sets or
   size errors, or a tree's set-only winner set is not the brute force's;
 - ``fingerprints``: run-record fingerprints, their JSONL round trip, the
-  report CSV, or a graph document or spec or its round trip differ;
+  report CSV, a graph document or spec or its round trip, or a command's
+  exit code or stdout differ;
 - ``counters only``: both completed with the same result, other counters;
 - ``budget stops``: at least one of the two searches stopped on its budget;
 - ``grown``: completed searches (of any configuration, matched or not)
@@ -75,8 +82,12 @@ from __future__ import annotations
 import importlib
 import io
 import json
+import os
 import random
+import re
+import subprocess
 import sys
+import tempfile
 import types
 from collections import Counter
 from pathlib import Path
@@ -98,6 +109,27 @@ LARGE = [
     (11, 0.1, 7515, "2-approval"),
     (12, 0.05, 7517, "2-approval"),
 ]
+
+RULES = {"plurality": ["--rule", "plurality"], "approval": ["--rule", "approval"],
+         "2-approval": ["--rule", "k-approval", "--k", "2"]}
+# (label, arguments) of every command run on both trees, in a directory that
+# holds graphs/example2.json, graphs/g_k2.json and specs.jsonl.  The report
+# reads the records that the tree's three metrics/<rule> runs printed.
+CLI_RUNS = [
+    *((f"solve/{graph}/{rule}", ["solve", "--graph", f"graphs/{graph}.json", *args])
+      for graph in ("example2", "g_k2") for rule, args in RULES.items()),
+    *((f"metrics/{rule}", ["metrics", "--in", "graphs", *args]) for rule, args in RULES.items()),
+    ("report", ["report", "--in", "records.jsonl"]),
+    ("metrics/specs", ["metrics", "--in", "specs.jsonl", *RULES["plurality"]]),
+    ("invalid/no-k", ["solve", "--graph", "graphs/example2.json", "--rule", "k-approval"]),
+    ("invalid/plurality-k", ["solve", "--graph", "graphs/example2.json", *RULES["plurality"],
+                             "--k", "2"]),
+    ("invalid/k-0", ["metrics", "--in", "graphs", "--rule", "k-approval", "--k", "0"]),
+    ("invalid/max-nodes", ["metrics", "--in", "graphs", *RULES["plurality"], "--max-nodes", "-1"]),
+]
+SPECS = [{"kind": "catalog", "name": "example1"}, {"kind": "catalog", "name": "g_k", "k": 2},
+         {"kind": "random", "n": 5, "p": 0.4, "seed": 1}]
+WALL = re.compile(r'"wall_seconds": [^,}]+')
 
 
 def load_checker():
@@ -272,11 +304,33 @@ def oracles(sv):
             yield f"naive/{label}", str(exc)
 
 
+def cli_outputs(sv, tree: Path):
+    """(label, (exit code, stdout)) of each ``CLI_RUNS`` command on ``tree``,
+    wall times masked, with its input files written by ``sv``."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "graphs").mkdir()
+        for name, k, file in (("example2", None, "example2"), ("g_k", 2, "g_k2")):
+            g = sv.families.gen_paper_instance(sv.families.InstanceSpec(name, k))
+            (work / "graphs" / f"{file}.json").write_text(sv.network.serialize(g))
+        (work / "specs.jsonl").write_text("".join(json.dumps(s) + "\n" for s in SPECS))
+        printed = {}
+        for label, args in CLI_RUNS:
+            if label == "report":
+                records = "".join(printed[f"metrics/{rule}"] for rule in RULES)
+                (work / "records.jsonl").write_text(records)
+            proc = subprocess.run([sys.executable, "-B", "-m", "seqvote.cli", *args], cwd=work,
+                                  env=env, capture_output=True, text=True)
+            printed[label] = WALL.sub('"wall_seconds": 0.0', proc.stdout)
+            yield f"cli/{label}", (proc.returncode, printed[label])
+
+
 def kind(config: str, a: tuple, b: tuple) -> str:
     """The kind of a mismatch between outcomes ``a`` (old) and ``b`` (new)."""
     if config in ("oracle", "reference"):
         return "results"
-    if config == "record":
+    if config in ("record", "cli"):
         return "fingerprints"
     if a[0] == "budget" or b[0] == "budget":
         return "budget stops"
@@ -318,6 +372,7 @@ def main(argv: list[str]) -> int:
     for config, pairs in (
         ("record", zip(fingerprints(old), fingerprints(new))),
         ("oracle", zip(oracles(old), oracles(new))),
+        ("cli", zip(cli_outputs(new, old_tree), cli_outputs(new, new_tree))),
     ):
         for (label, a), (_, b) in pairs:
             comparisons += 1

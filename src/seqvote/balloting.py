@@ -6,11 +6,23 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 
-from .network import ConfirmationNetwork, is_int
+from .network import ConfirmationNetwork, is_int, is_str, or_null, read_object
 
 
 class RuleError(ValueError):
     """Raised for malformed rules or illegal ballot parameters."""
+
+
+def _is_cap(value) -> bool:
+    """A k-approval cap: an integer (a bool is not one) of at least 1."""
+    return is_int(value) and value >= 1
+
+
+# The rule block of a run record, one row per field (see ``network.read_object``).
+_RULE_FIELDS = (
+    ("kind", is_str, "a string", True),
+    ("cap", or_null(_is_cap), "a positive cap or null", False),
+)
 
 
 @dataclass(frozen=True)
@@ -28,7 +40,7 @@ class Rule:
         if self.kind not in ("plurality", "approval", "k_approval"):
             raise RuleError(f"unknown rule kind {self.kind!r}")
         if self.kind == "k_approval":
-            if not is_int(self.cap) or self.cap < 1:
+            if not _is_cap(self.cap):
                 raise RuleError(f"k_approval needs a positive cap, got {self.cap!r}")
         elif self.cap is not None:
             raise RuleError(f"{self.kind} does not take a cap")
@@ -44,6 +56,16 @@ class Rule:
     def label(self) -> str:
         return self.kind if self.cap is None else f"{self.kind}({self.cap})"
 
+    def as_dict(self) -> dict:
+        """The rule block of a run record: ``kind``, and ``cap`` when set."""
+        return {"kind": self.kind} if self.cap is None else {"kind": self.kind, "cap": self.cap}
+
+    @staticmethod
+    def from_dict(data: dict) -> "Rule":
+        """The rule a rule block names; a null ``cap`` reads as absent."""
+        read_object(data, _RULE_FIELDS, RuleError, "rule block")
+        return Rule(**data)
+
 
 PLURALITY = Rule("plurality")
 APPROVAL = Rule("approval")
@@ -55,14 +77,12 @@ def k_approval(k: int) -> Rule:
 
 def rule_from_strings(name: str, k: int | None = None) -> Rule:
     """Parse a CLI-style rule name (plurality | approval | k-approval with --k)."""
-    name = name.replace("-", "_")
-    if name == "k_approval":
-        if k is None:
-            raise RuleError("k-approval requires --k")
-        return k_approval(k)
-    if k is not None:
-        raise RuleError(f"--k only applies to k-approval, not {name}")
-    return Rule(name)
+    kind = name.replace("-", "_")
+    if kind == "k_approval" and k is None:
+        raise RuleError("k-approval requires --k")
+    if kind != "k_approval" and k is not None:
+        raise RuleError(f"--k only applies to k-approval, not {kind}")
+    return Rule(kind, k)
 
 
 def ballot_members(rule: Rule, voter: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -75,8 +95,6 @@ def ballot_members(rule: Rule, voter: int, n: int) -> Iterator[tuple[int, ...]]:
     if n < 1:
         raise RuleError(f"need n >= 1, got {n}")
     cap = rule.ballot_cap(n)
-    if rule.kind == "k_approval" and cap < 1:
-        raise RuleError(f"ballot cap must be >= 1, got {cap}")
     others = [a for a in range(n) if a != voter]
     for size in range(0, min(cap, len(others)) + 1):
         yield from combinations(others, size)

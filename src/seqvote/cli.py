@@ -7,6 +7,7 @@ and diagnostics go to stderr.  Exit codes: 0 success, 1 invalid input,
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import sys
@@ -16,29 +17,10 @@ import click
 
 from . import network as net
 from .balloting import rule_from_strings
-from .engine import (
-    Budget,
-    BudgetExceededError,
-    Policy,
-    Solver,
-)
-from .experiments import (
-    instance_metrics,
-    read_jsonl,
-    read_records,
-    run_batch,
-    source_from_descriptor,
-    summarize,
-    summary_csv,
-    write_records,
-)
-from .families import (
-    InstanceSpec,
-    RandomSpec,
-    catalog_names,
-    gen_paper_instance,
-    gen_random,
-)
+from .engine import Budget, BudgetExceededError, Policy, Solver
+from .experiments import (instance_metrics, read_jsonl, read_records, run_batch,
+                          source_from_descriptor, summarize, summary_csv, write_records)
+from .families import InstanceSpec, RandomSpec, catalog_names, gen_paper_instance, gen_random
 
 EXIT_INVALID_INPUT = 1
 EXIT_BUDGET = 2
@@ -69,24 +51,43 @@ def cli() -> None:
     confirmation networks."""
 
 
+def _rule_and_budget(command):
+    """The ``--rule``, ``--k``, ``--max-nodes`` and ``--max-seconds`` options,
+    given to ``command`` as the ``rule`` and ``budget`` they spell."""
+    unbuilt = "; the ballot tables that the solver builds before it are not counted."
+
+    @click.option("--rule", "rule_name", required=True,
+                  type=click.Choice(["plurality", "approval", "k-approval"]))
+    @click.option("--k", type=int, default=None, help="Cap for k-approval.")
+    @click.option("--max-nodes", type=int, default=None, help="Node limit of the search" + unbuilt)
+    @click.option("--max-seconds", type=float, default=None,
+                  help="Time limit of the search" + unbuilt)
+    @functools.wraps(command)
+    def wrapper(rule_name, k, max_nodes, max_seconds, **kwargs):
+        rule = rule_from_strings(rule_name, k)
+        budget = Budget(max_nodes=max_nodes, max_seconds=max_seconds)
+        return command(rule=rule, budget=budget, **kwargs)
+
+    return wrapper
+
+
+def _read_graph(path) -> net.ConfirmationNetwork:
+    """The graph JSON file at ``path``; a ValueError's message is prefixed with it."""
+    try:
+        return net.parse(Path(path).read_text())
+    except ValueError as exc:
+        raise net.NetworkError(f"{path}: {exc}") from exc
+
+
 @cli.command()
 @click.option("--graph", "graph_path", required=True, help="Graph JSON file.")
-@click.option(
-    "--rule",
-    "rule_name",
-    required=True,
-    type=click.Choice(["plurality", "approval", "k-approval"]),
-)
-@click.option("--k", type=int, default=None, help="Cap for k-approval.")
+@_rule_and_budget
 @click.option("--policy", default="canonical", help="canonical or bias:<agent>.")
-@click.option("--max-nodes", type=int, default=None)
-@click.option("--max-seconds", type=float, default=None)
-def solve(graph_path, rule_name, k, policy, max_nodes, max_seconds):
+def solve(graph_path, rule, budget, policy):
     """Solve one instance: winner set, one policy-selected SPE path, metrics."""
-    rule = rule_from_strings(rule_name, k)
     pol = _parse_policy(policy)
-    g = net.parse(Path(graph_path).read_text())
-    solver = Solver(g, rule, budget=Budget(max_nodes=max_nodes, max_seconds=max_seconds))
+    g = _read_graph(graph_path)
+    solver = Solver(g, rule, budget=budget)
     spe = solver.policy_spe(pol)
     metrics = instance_metrics(g, spe.winners)
     doc = {
@@ -129,28 +130,13 @@ def random_cmd(n, p, cap, seed, out):
     required=True,
     help="Directory of graph JSON files, or a JSONL file of instance specs.",
 )
-@click.option(
-    "--rule",
-    "rule_name",
-    required=True,
-    type=click.Choice(["plurality", "approval", "k-approval"]),
-)
-@click.option("--k", type=int, default=None)
-@click.option("--max-nodes", type=int, default=None)
-@click.option("--max-seconds", type=float, default=None)
+@_rule_and_budget
 @click.option("--out", default=None, help="JSONL output path (default stdout).")
-def metrics(in_path, rule_name, k, max_nodes, max_seconds, out):
+def metrics(in_path, rule, budget, out):
     """Batch-solve instances and emit one RunRecord per line (JSONL)."""
-    rule = rule_from_strings(rule_name, k)
-    budget = Budget(max_nodes=max_nodes, max_seconds=max_seconds)
     path = Path(in_path)
-    sources = []
     if path.is_dir():
-        for f in sorted(path.glob("*.json")):
-            try:
-                sources.append(net.parse(f.read_text()))
-            except ValueError as exc:
-                raise click.UsageError(f"{f}: {exc}")
+        sources = [_read_graph(f) for f in sorted(path.glob("*.json"))]
     elif path.is_file():
         with open(in_path) as fh:
             sources = read_jsonl(fh, source_from_descriptor)
@@ -190,13 +176,10 @@ def verify_paper():
 
     results = run_all(log=sys.stderr)
     click.echo("criterion,status,seconds,detail")
-    ok = True
     for r in results:
-        status = "pass" if r.passed else "FAIL"
-        ok = ok and r.passed
         detail = r.detail.replace('"', "'")
-        click.echo(f'{r.name},{status},{r.seconds:.1f},"{detail}"')
-    if not ok:
+        click.echo(f'{r.name},{"pass" if r.passed else "FAIL"},{r.seconds:.1f},"{detail}"')
+    if not all(r.passed for r in results):
         sys.exit(EXIT_VERIFICATION)
 
 

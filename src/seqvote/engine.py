@@ -182,7 +182,9 @@ class SubgameState:
 @dataclass(frozen=True)
 class Budget:
     """Per-call search limits; None is no limit, and ``max_nodes=0`` or
-    ``max_seconds=0`` stops at the first node."""
+    ``max_seconds=0`` stops at the first node.  They bound the search a call
+    makes, not the ballot tables that ``Solver(...)`` builds before it: those
+    hold n * 2^(n-1) entries under approval."""
 
     max_nodes: int | None = None
     max_seconds: float | None = None

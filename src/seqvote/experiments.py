@@ -7,9 +7,11 @@ serialized graph) and are written as JSONL, one object per line, with a
 schema version field ``v``.  Ratios are stored as exact ``[num, den]`` pairs
 ("inf" for the zero-denominator convention); floats appear only in human
 summaries.  Everything except the ``stats`` block is deterministic for a
-given instance and rule.  A record is read back by rebuilding it: its
-``metrics`` and ``verdicts`` must equal, as JSON, what ``instance_metrics``
-and ``verdicts`` give for its graph, rule and winners, so each is defined once.
+given instance and rule.  The ``rule`` block is written and read by
+``balloting.Rule`` (``as_dict`` and ``from_dict``), and a record holds the
+``Rule`` itself.  A record is read back by rebuilding it: its ``metrics`` and
+``verdicts`` must equal, as JSON, what ``instance_metrics`` and ``verdicts``
+give for its graph, rule and winners, so each is defined once.
 """
 
 from __future__ import annotations
@@ -116,7 +118,10 @@ def instance_metrics(g: ConfirmationNetwork, winners) -> InstanceMetrics:
 
 
 def verdicts(rule: Rule, metrics: InstanceMetrics) -> dict:
-    """Per-record invariant verdicts aggregated by summarize()."""
+    """Per-record invariant verdicts aggregated by summarize().  ``nonempty_winners``
+    holds on every record that ``RunRecord.from_dict`` accepts, and is kept: dropping
+    it would change record format v1 and every record fingerprint, and the
+    benchmark's ``checker.check_metrics_ensemble`` requires exactly three verdicts."""
     result = {
         "nonempty_winners": bool(metrics.winners),
         "gaps_nonnegative": all(m.gap >= 0 for m in metrics.per_winner),
@@ -188,7 +193,7 @@ def source_from_descriptor(desc: dict):
 class RunRecord:
     instance: dict = _json_field(is_object, "a JSON object")
     graph: dict = _json_field(is_object, "a JSON object")
-    rule: dict = _json_field(is_object, "a JSON object")
+    rule: Rule = _json_field(is_object, "a JSON object")  # the block Rule.from_dict reads
     status: str = _json_field(RECORD_STATUSES.__contains__, f"one of {', '.join(RECORD_STATUSES)}")
     metrics: InstanceMetrics | None = _json_field(
         or_null(is_object), "a JSON object or null", required=False)
@@ -201,7 +206,7 @@ class RunRecord:
 
     def as_dict(self) -> dict:
         metrics = self.metrics.as_dict() if self.metrics is not None else None
-        return {**vars(self), "metrics": metrics}
+        return {**vars(self), "rule": self.rule.as_dict(), "metrics": metrics}
 
     @staticmethod
     def from_dict(data: dict) -> "RunRecord":
@@ -220,7 +225,7 @@ class RunRecord:
         wall = data["stats"].get("wall_seconds", 0.0)  # not a bool, NaN or past a float
         if type(wall) not in (int, float) or not 0 <= wall <= sys.float_info.max:
             raise RecordError("record field 'stats.wall_seconds' must be a finite number >= 0")
-        rule = rule_from_dict(data["rule"])
+        rule = Rule.from_dict(data["rule"])
         if status != "error" or data["graph"]:  # only a failed build leaves no graph
             g = net.from_json_dict(data["graph"])  # a NetworkError names the graph document
         rebuilt = {"metrics": None, "verdicts": {}}
@@ -238,7 +243,7 @@ class RunRecord:
                 prefix = "malformed metrics block: " if name == "metrics" else ""
                 raise RecordError(f"{prefix}record field {path!r} is not what its graph, "
                                   f"rule and winners give")
-        return RunRecord(**{**data, "metrics": metrics})
+        return RunRecord(**{**data, "rule": rule, "metrics": metrics})
 
 
 def _first_difference(stored, rebuilt, path: str) -> str | None:
@@ -258,24 +263,6 @@ def _first_difference(stored, rebuilt, path: str) -> str | None:
     return next((p for p in found if p is not None), path)
 
 
-def rule_to_dict(rule: Rule) -> dict:
-    d = {"kind": rule.kind}
-    if rule.cap is not None:
-        d["cap"] = rule.cap
-    return d
-
-
-_RULE_FIELDS = (
-    ("kind", is_str, "a string", True),
-    ("cap", or_null(lambda v: is_int(v) and v >= 1), "a positive cap or null", False),
-)
-
-
-def rule_from_dict(data: dict) -> Rule:
-    net.read_object(data, _RULE_FIELDS, RecordError, "rule block")
-    return Rule(**data)
-
-
 def run_one(
     source,
     rule: Rule,
@@ -286,7 +273,7 @@ def run_one(
     record = RunRecord(
         instance=instance_descriptor(source),
         graph={},
-        rule=rule_to_dict(rule),
+        rule=rule,
         status="error",
         metrics=None,
         verdicts={},
@@ -375,8 +362,7 @@ def summarize(records: Sequence[RunRecord]) -> list[RuleSummary]:
     timing percentiles."""
     by_rule: dict[str, list[RunRecord]] = {}
     for record in records:
-        label = rule_from_dict(record.rule).label()
-        by_rule.setdefault(label, []).append(record)
+        by_rule.setdefault(record.rule.label(), []).append(record)
     summaries = []
     for label in sorted(by_rule):
         group = by_rule[label]

@@ -53,6 +53,18 @@ def test_rule_from_strings():
         rule_from_strings("approval", 2)
 
 
+def test_rule_dict_round_trip():
+    for rule in (PLURALITY, APPROVAL, k_approval(2)):
+        assert Rule.from_dict(rule.as_dict()) == rule
+    for block in (
+        {"kind": "k_approval", "cap": True},  # a bool is an int, but not a cap
+        {"kind": "k_approval", "k": 2},
+        {"kind": "borda"},
+    ):
+        with pytest.raises(RuleError):
+            Rule.from_dict(block)
+
+
 def test_legal_ballots_plurality():
     ballots = legal_ballots(PLURALITY, 0, 4)
     assert ballots == [frozenset(), frozenset({1}), frozenset({2}), frozenset({3})]

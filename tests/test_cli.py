@@ -113,6 +113,17 @@ def test_solve_malformed_graph_exits_1(tmp_path):
     assert result.returncode == 1
 
 
+def test_solve_names_the_bad_graph_file(tmp_path):
+    """A malformed graph file is named as ``metrics --in DIR`` names one."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 3, "edgs": [[0, 1]]}))
+    result = run_cli("solve", "--graph", str(bad), "--rule", "plurality")
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: {bad}: graph document has unknown field 'edgs'"), (
+        result.stderr)
+    assert result.stdout == ""
+
+
 def test_solve_usage_error_exits_1():
     result = run_cli("solve", "--rule", "plurality")  # --graph missing
     assert result.returncode == 1

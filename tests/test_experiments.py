@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from seqvote import network
-from seqvote.balloting import APPROVAL, PLURALITY, k_approval
+from seqvote.balloting import APPROVAL, PLURALITY, Rule, k_approval
 from seqvote.engine import Budget
 from seqvote.experiments import (
     RecordError,
@@ -14,8 +14,6 @@ from seqvote.experiments import (
     instance_descriptor,
     ratio_to_json,
     read_records,
-    rule_from_dict,
-    rule_to_dict,
     run_batch,
     run_one,
     source_from_descriptor,
@@ -29,11 +27,6 @@ from seqvote.families import InstanceSpec, RandomSpec, gen_paper_instance
 def test_ratio_json_round_trip():
     assert ratio_to_json(Fraction(3, 2)) == [3, 2]
     assert ratio_to_json(math.inf) == "inf"
-
-
-def test_rule_dict_round_trip():
-    for rule in (PLURALITY, APPROVAL, k_approval(2)):
-        assert rule_from_dict(rule_to_dict(rule)) == rule
 
 
 def test_run_one_metrics_example2_approval():
@@ -135,13 +128,28 @@ def test_readers_accept_null_where_each_format_allows_it():
     )
     spec = {"kind": "random", "n": 4, "p": 0.5, "seed": 1, "max_out": None}
     assert source_from_descriptor(spec) == RandomSpec(4, 0.5, None, 1)
-    assert rule_from_dict({"kind": "plurality", "cap": None}) == PLURALITY
+    assert Rule.from_dict({"kind": "plurality", "cap": None}) == PLURALITY
     failed = run_one(InstanceSpec("mystery"), PLURALITY).as_dict()
     assert failed["metrics"] is None
     record = RunRecord.from_dict({**failed, "error": None})
     assert record.metrics is None and record.error is None
     absent = {name: value for name, value in failed.items() if name not in ("metrics", "error")}
     assert RunRecord.from_dict(absent).as_dict() == record.as_dict()
+
+
+def test_summarize_reads_no_rule_block(monkeypatch):
+    """Each record's rule block is read once, by ``RunRecord.from_dict``;
+    ``summarize`` labels a record by the ``Rule`` it was read as."""
+    buf = io.StringIO()
+    rules = (PLURALITY, APPROVAL, k_approval(2))
+    write_records([run_one(InstanceSpec("example2"), rule) for rule in rules], buf)
+    reads, read = [], Rule.from_dict
+    counted = staticmethod(lambda data: reads.append(data) or read(data))
+    monkeypatch.setattr(Rule, "from_dict", counted)
+    records = read_records(io.StringIO(buf.getvalue()))
+    summaries = summarize(records)
+    assert len(reads) == len(records) == 3
+    assert [s.rule for s in summaries] == ["approval", "k_approval(2)", "plurality"]
 
 
 def test_summarize_and_csv():
